@@ -4,10 +4,12 @@ Two claims, one results file (``benchmarks/BENCH_fleet.json``):
 
 * **serial**: on a fleet whose GraphGen hypergraph splits into one
   component per machine, solving the components independently and
-  merging the decoded specs beats the monolithic pipeline
-  super-linearly -- the decode/propagate passes are quadratic in nodes,
-  so ``k`` components of ``n/k`` nodes cost roughly ``1/k`` of the
-  monolithic run.  Asserts >= 3x at the largest measured size.
+  merging the decoded specs gives a bit-identical specification.
+  Every configure stage is linear in graph size, so the recorded
+  monolithic/partitioned ratio sits near 1x; it is recorded (median
+  of :data:`REPEATS` runs, with the monolithic stage times), not
+  asserted.  The linearity itself is guarded by a deterministic
+  edge-visit count in ``tests/test_hypergraph.py``.
 * **parallel**: fanning those components out across a process pool
   (``workers=N``) multiplies partitioned throughput again.  Measures a
   1/2/4/8 worker matrix at 8k nodes (16k/32k and a ~100k stretch run
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import time
 
 import pytest
@@ -37,8 +40,8 @@ from repro.library.fleet import FleetTopology, fleet_partial
 #: (replicas, machines) -> roughly 512 / 2048 / 4096 graph nodes.
 SIZES = ((96, 32), (384, 128), (768, 256))
 
-#: Floor asserted at the largest serial size (>=3x at >=512 nodes).
-SPEEDUP_FLOOR = 3.0
+#: Timed runs per pipeline and size in the serial benchmark.
+REPEATS = 3
 
 #: The worker matrix of the parallel benchmark (0 = serial in-process,
 #: kept as the equivalence baseline row).
@@ -96,17 +99,28 @@ def test_partitioned_fleet_speedup(registry):
     part_engine = ConfigurationEngine(registry, partition=True)
     rows = []
     for replicas, machines in SIZES:
-        topology = FleetTopology(replicas=replicas, machines=machines)
-        mono_seconds, mono = _timed(
-            mono_engine, fleet_partial(topology)
+        partial = fleet_partial(
+            FleetTopology(replicas=replicas, machines=machines)
         )
-        part_seconds, part = _timed(
-            part_engine, fleet_partial(topology)
-        )
+        mono_runs = [_timed(mono_engine, partial) for _ in range(REPEATS)]
+        part_runs = [_timed(part_engine, partial) for _ in range(REPEATS)]
+        mono_seconds = statistics.median(t for t, _ in mono_runs)
+        part_seconds = statistics.median(t for t, _ in part_runs)
+        mono, part = mono_runs[0][1], part_runs[0][1]
         assert full_to_json(part.spec) == full_to_json(mono.spec)
         assert part.partition is not None
         assert part.partition.count == machines
         nodes = len(part.graph)
+        stage_ms = {
+            stage: round(statistics.median(
+                getattr(result.timings, f"{stage}_ms")
+                for _, result in mono_runs
+            ), 2)
+            for stage in (
+                "graph", "encode", "solve", "decode", "propagate",
+                "typecheck",
+            )
+        }
         rows.append({
             "replicas": replicas,
             "machines": machines,
@@ -118,23 +132,11 @@ def test_partitioned_fleet_speedup(registry):
             "monolithic_nodes_per_sec": round(nodes / mono_seconds, 1),
             "partitioned_nodes_per_sec": round(nodes / part_seconds, 1),
             "speedup": round(mono_seconds / part_seconds, 2),
+            "monolithic_stage_ms": stage_ms,
         })
 
-    largest = rows[-1]
-    _update_results("serial", {
-        "speedup_floor": SPEEDUP_FLOOR,
-        "sizes": rows,
-    })
-
-    assert largest["nodes"] >= 512
-    assert largest["speedup"] >= SPEEDUP_FLOOR, (
-        f"partitioned configure only {largest['speedup']}x faster at "
-        f"{largest['nodes']} nodes (floor {SPEEDUP_FLOOR}x): {rows}"
-    )
-    # Speedup grows with fleet size: quadratic passes amortised away.
-    assert [r["speedup"] for r in rows] == sorted(
-        r["speedup"] for r in rows
-    )
+    _update_results("serial", {"repeats": REPEATS, "sizes": rows})
+    assert rows[-1]["nodes"] >= 512
 
 
 def _bench_worker_matrix(registry, sizes, matrix) -> list[dict]:

@@ -121,18 +121,19 @@ def selected_nodes(
             continue
         deployed.add(current)
         for index, edge in enumerate(graph.edges_from(current)):
-            chosen = [t for t in edge.targets if model.get(t, False)]
             if len(edge.targets) == 1:
                 target = edge.targets[0]
-            elif len(chosen) >= 1:
+            else:
                 # Exactly-one holds under rsrc(current); defensive pick of
                 # the first true target in declaration order.
-                target = next(t for t in edge.targets if model.get(t, False))
-            else:
-                raise AssertionError(
-                    f"model selects no target for edge {edge} despite "
-                    "satisfying the constraints"
+                target = next(
+                    (t for t in edge.targets if model.get(t, False)), None
                 )
+                if target is None:
+                    raise AssertionError(
+                        f"model selects no target for edge {edge} despite "
+                        "satisfying the constraints"
+                    )
             choices[(current, index)] = target
             if target not in deployed:
                 frontier.append(target)

@@ -50,10 +50,16 @@ class PhaseTimings:
     partition_ms: float = 0.0
     encode_ms: float = 0.0
     solve_ms: float = 0.0
+    #: Model -> node names -> deployed set and disjunct choices.
+    decode_ms: float = 0.0
+    #: Port-value propagation, plus merging component specs.
     propagate_ms: float = 0.0
+    #: The static re-check of the full specification (0 when disabled
+    #: or served from a session's verified-spec cache).
+    typecheck_ms: float = 0.0
     #: Wall-clock time of the process-pool dispatch+collect, 0 when the
     #: components ran in-process.  Deliberately *not* part of
-    #: :attr:`total_ms`: encode/solve/propagate already account the same
+    #: :attr:`total_ms`: the other phases already account the same
     #: work as per-component sums, so ``total_ms`` stays comparable
     #: across serial and parallel runs (CPU-time-like), while this field
     #: is what the wall clock actually saw.
@@ -63,7 +69,8 @@ class PhaseTimings:
     def total_ms(self) -> float:
         return (
             self.graph_ms + self.partition_ms + self.encode_ms
-            + self.solve_ms + self.propagate_ms
+            + self.solve_ms + self.decode_ms + self.propagate_ms
+            + self.typecheck_ms
         )
 
 
@@ -174,7 +181,9 @@ def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
         ("configure:partition", timings.partition_ms),
         ("configure:encode", timings.encode_ms),
         ("configure:solve", timings.solve_ms),
+        ("configure:decode", timings.decode_ms),
         ("configure:propagate", timings.propagate_ms),
+        ("configure:typecheck", timings.typecheck_ms),
     ]
     if partition is None:
         phases.pop(1)  # monolithic path: keep the original span shape
@@ -220,8 +229,8 @@ def _emit_serial_component_spans(tracer, partition, start) -> float:
     component_start = start
     for component in partition.components:
         wall_ms = (
-            component.encode_ms + component.solve_ms
-            + component.propagate_ms
+            component.encode_ms + component.solve_ms + component.decode_ms
+            + component.propagate_ms + component.typecheck_ms
         )
         duration = wall_ms / 1000.0
         args = dict(
@@ -248,10 +257,11 @@ def _emit_streamed_component_spans(tracer, partition, start) -> float:
 
     Each component's reply arrival (``recv_ms``) anchors its spans: the
     worker-measured encode/solve spans end at the arrival, the
-    parent-side decode/propagate spans begin there.  Because the parent
-    decodes streamed replies while other workers are still solving,
-    decode/propagate spans of early components visibly *overlap* the
-    solve spans of late ones -- the signature of streamed collection.
+    parent-side decode/propagate/typecheck spans begin there.  Because
+    the parent decodes streamed replies while other workers are still
+    solving, parent-side spans of early components visibly *overlap*
+    the solve spans of late ones -- the signature of streamed
+    collection.
     Spans are emitted in component-index order (deterministic), not
     arrival order.
     """
@@ -273,7 +283,10 @@ def _emit_streamed_component_spans(tracer, partition, start) -> float:
         recv = start + component.recv_ms / 1000.0
         worker_ms = component.encode_ms + component.solve_ms
         worker_start = max(start, recv - worker_ms / 1000.0)
-        parent_ms = component.decode_ms + component.propagate_ms
+        parent_ms = (
+            component.decode_ms + component.propagate_ms
+            + component.typecheck_ms
+        )
         wall_ms = worker_ms + parent_ms
         tracer.span(
             f"configure:component[{component.index}]",
@@ -310,6 +323,7 @@ def _emit_streamed_component_spans(tracer, partition, start) -> float:
         for phase_name, phase_ms in (
             ("decode", component.decode_ms),
             ("propagate", component.propagate_ms),
+            ("typecheck", component.typecheck_ms),
         ):
             if phase_ms <= 0.0:
                 continue
@@ -487,10 +501,14 @@ class ConfigurationEngine:
             for name, value in formula.decode_model(model).items()
         }
         deployed, choices = selected_nodes(graph, named_model)
+        started = time.perf_counter()
+        timings.decode_ms = (started - ticked) * 1000.0
         spec = propagate(self._registry, graph, deployed, choices)
+        ticked = time.perf_counter()
+        timings.propagate_ms = (ticked - started) * 1000.0
         if self._check_types:
             check_spec(self._registry, spec)
-        timings.propagate_ms = (time.perf_counter() - ticked) * 1000.0
+            timings.typecheck_ms = (time.perf_counter() - ticked) * 1000.0
         emit_config_trace(self._tracer, timings)
         return ConfigurationResult(
             spec=spec,
@@ -541,21 +559,23 @@ class ConfigurationEngine:
                     explain=self._explain_unsat, partition=True,
                 )
             model = canonical_model(formula, solver)
+            solve_done = time.perf_counter()
             named = {
                 str(name): value
                 for name, value in formula.decode_model(model).items()
             }
-            solve_done = time.perf_counter()
             component_deployed, component_choices = selected_nodes(
                 component.graph, named
             )
+            decode_done = time.perf_counter()
             spec = propagate(
                 self._registry, component.graph,
                 component_deployed, component_choices,
             )
+            propagate_done = time.perf_counter()
             if self._check_types:
                 check_spec(self._registry, spec)
-            propagate_done = time.perf_counter()
+            typecheck_done = time.perf_counter()
 
             named_model.update(named)
             deployed |= component_deployed
@@ -572,14 +592,14 @@ class ConfigurationEngine:
                 pinned=len(component.pinned),
                 encode_ms=(encode_done - tick) * 1000.0,
                 solve_ms=(solve_done - encode_done) * 1000.0,
-                propagate_ms=(propagate_done - solve_done) * 1000.0,
+                decode_ms=(decode_done - solve_done) * 1000.0,
+                propagate_ms=(propagate_done - decode_done) * 1000.0,
+                typecheck_ms=(typecheck_done - propagate_done) * 1000.0,
                 decisions=solver.stats.decisions,
                 conflicts=solver.stats.conflicts,
             )
             info.components.append(stats)
-            timings.encode_ms += stats.encode_ms
-            timings.solve_ms += stats.solve_ms
-            timings.propagate_ms += stats.propagate_ms
+            _accumulate_component_timings(timings, stats)
 
         tick = time.perf_counter()
         spec = merge_component_specs(specs)
@@ -663,6 +683,7 @@ class ConfigurationEngine:
             spec = propagate(
                 self._registry, component.graph, comp_deployed, comp_choices
             )
+            propagate_done = time.perf_counter()
             if self._check_types:
                 check_spec(self._registry, spec)
             outcome.named_model = named
@@ -670,8 +691,9 @@ class ConfigurationEngine:
             outcome.choices = comp_choices
             outcome.instances = tuple(spec)
             outcome.decode_ms = (decode_done - tick) * 1000.0
-            outcome.propagate_ms = (
-                time.perf_counter() - decode_done
+            outcome.propagate_ms = (propagate_done - decode_done) * 1000.0
+            outcome.typecheck_ms = (
+                time.perf_counter() - propagate_done
             ) * 1000.0
 
         tick = time.perf_counter()
@@ -707,28 +729,23 @@ class ConfigurationEngine:
                 aggregate_constraints, outcome.constraint_stats
             )
             _accumulate_solver_stats(aggregate_solver, outcome.solver_stats)
-            info.components.append(
-                ComponentStats(
-                    index=component.index,
-                    nodes=len(component.graph),
-                    edges=len(component.graph.edges()),
-                    pinned=len(component.pinned),
-                    encode_ms=outcome.encode_ms,
-                    solve_ms=outcome.solve_ms,
-                    propagate_ms=outcome.propagate_ms,
-                    decisions=outcome.solver_stats.decisions,
-                    conflicts=outcome.solver_stats.conflicts,
-                    worker=outcome.worker,
-                    decode_ms=outcome.decode_ms,
-                    recv_ms=outcome.recv_ms,
-                )
+            stats = ComponentStats(
+                index=component.index,
+                nodes=len(component.graph),
+                edges=len(component.graph.edges()),
+                pinned=len(component.pinned),
+                encode_ms=outcome.encode_ms,
+                solve_ms=outcome.solve_ms,
+                propagate_ms=outcome.propagate_ms,
+                decisions=outcome.solver_stats.decisions,
+                conflicts=outcome.solver_stats.conflicts,
+                worker=outcome.worker,
+                decode_ms=outcome.decode_ms,
+                recv_ms=outcome.recv_ms,
+                typecheck_ms=outcome.typecheck_ms,
             )
-            timings.encode_ms += outcome.encode_ms
-            timings.solve_ms += outcome.solve_ms
-            # Parent-side decode folds into the propagate phase: the
-            # serial pipelines account name decoding inside their own
-            # windows, so the per-phase sums stay comparable.
-            timings.propagate_ms += outcome.decode_ms + outcome.propagate_ms
+            info.components.append(stats)
+            _accumulate_component_timings(timings, stats)
 
         tick = time.perf_counter()
         spec = merge_component_specs(specs)
@@ -745,6 +762,17 @@ class ConfigurationEngine:
             timings=timings,
             partition=info,
         )
+
+
+def _accumulate_component_timings(
+    timings: PhaseTimings, component: ComponentStats
+) -> None:
+    """Add one component's per-phase times to the run's totals."""
+    timings.encode_ms += component.encode_ms
+    timings.solve_ms += component.solve_ms
+    timings.decode_ms += component.decode_ms
+    timings.propagate_ms += component.propagate_ms
+    timings.typecheck_ms += component.typecheck_ms
 
 
 def _accumulate_constraint_stats(

@@ -82,6 +82,10 @@ class ResourceGraph:
     def __init__(self) -> None:
         self._nodes: dict[str, GraphNode] = {}
         self._edges: list[HyperEdge] = []
+        #: Insertion-ordered out-edge buckets per source id, so
+        #: :meth:`edges_from` costs the node's degree rather than a scan
+        #: of every edge (decode and propagation ask once per node).
+        self._edges_by_source: dict[str, list[HyperEdge]] = {}
         self._ids_by_slug: dict[str, int] = {}
         #: Insertion-ordered node buckets per exact key, so candidate
         #: lookups only pay a subtype test per *distinct* key.
@@ -94,6 +98,11 @@ class ResourceGraph:
         #: first placement query forces the walk.
         self._machine_buckets: dict[tuple[str, ResourceKey], list[GraphNode]] = {}
         self._unbucketed: deque[GraphNode] = deque()
+        #: dependency key -> the distinct node keys that subtype it, in
+        #: :attr:`_nodes_by_key` order.  Dropped when a new distinct key
+        #: arrives or the answering registry (or its version) changes.
+        self._subtype_keys: dict[ResourceKey, list[ResourceKey]] = {}
+        self._subtype_stamp: Optional[tuple[ResourceTypeRegistry, int]] = None
 
     # -- Nodes ---------------------------------------------------------------
 
@@ -101,7 +110,11 @@ class ResourceGraph:
         if node.instance_id in self._nodes:
             raise ConfigurationError(f"duplicate node id: {node.instance_id}")
         self._nodes[node.instance_id] = node
-        self._nodes_by_key.setdefault(node.key, []).append(node)
+        bucket = self._nodes_by_key.get(node.key)
+        if bucket is None:
+            bucket = self._nodes_by_key[node.key] = []
+            self._subtype_keys.clear()
+        bucket.append(node)
         self._unbucketed.append(node)
 
     def node(self, instance_id: str) -> GraphNode:
@@ -135,20 +148,20 @@ class ResourceGraph:
 
     def add_edge(self, edge: HyperEdge) -> None:
         self._edges.append(edge)
+        self._edges_by_source.setdefault(edge.source_id, []).append(edge)
 
     def edges(self) -> list[HyperEdge]:
         return list(self._edges)
 
     def edges_from(self, instance_id: str) -> list[HyperEdge]:
-        return [e for e in self._edges if e.source_id == instance_id]
+        return list(self._edges_by_source.get(instance_id, ()))
 
     def nodes_matching(
         self, registry: ResourceTypeRegistry, key: ResourceKey
     ) -> Iterable[GraphNode]:
         """All nodes whose key subtypes ``key``, via the per-key index."""
-        for node_key, bucket in self._nodes_by_key.items():
-            if registry.is_subtype(node_key, key):
-                yield from bucket
+        for node_key in self._keys_subtyping(registry, key):
+            yield from self._nodes_by_key[node_key]
 
     def nodes_matching_on(
         self,
@@ -168,11 +181,31 @@ class ResourceGraph:
             self._machine_buckets.setdefault(
                 (machine, node.key), []
             ).append(node)
-        for node_key in self._nodes_by_key:
-            if registry.is_subtype(node_key, key):
-                bucket = self._machine_buckets.get((machine_id, node_key))
-                if bucket:
-                    yield from bucket
+        for node_key in self._keys_subtyping(registry, key):
+            bucket = self._machine_buckets.get((machine_id, node_key))
+            if bucket:
+                yield from bucket
+
+    def _keys_subtyping(
+        self, registry: ResourceTypeRegistry, key: ResourceKey
+    ) -> list[ResourceKey]:
+        """The distinct node keys that subtype ``key``, memoized."""
+        stamp = self._subtype_stamp
+        if (
+            stamp is None
+            or stamp[0] is not registry
+            or stamp[1] != registry.version
+        ):
+            self._subtype_keys.clear()
+            self._subtype_stamp = (registry, registry.version)
+        hit = self._subtype_keys.get(key)
+        if hit is None:
+            hit = [
+                node_key for node_key in self._nodes_by_key
+                if registry.is_subtype(node_key, key)
+            ]
+            self._subtype_keys[key] = hit
+        return hit
 
     # -- Machine context ------------------------------------------------------
 
@@ -218,7 +251,23 @@ def lower_alternatives(
     frontier member inherits the abstract alternative's port mappings
     (sound because frontier members subtype the abstract target, hence
     declare at least its output ports).
+
+    Memoized per registry version: a fleet-sized configure lowers the
+    same few dozen registry-owned dependencies thousands of times.
     """
+    memo = registry.derived("lowered-alternatives", lambda _registry: {})
+    # Keyed by identity, which is far cheaper than hashing a dependency
+    # by value; the entry pins the dependency, so its id stays unique.
+    hit = memo.get(id(dependency))
+    if hit is None:
+        hit = (dependency, tuple(_lower(registry, dependency)))
+        memo[id(dependency)] = hit
+    return list(hit[1])
+
+
+def _lower(
+    registry: ResourceTypeRegistry, dependency: Dependency
+) -> list[DependencyAlternative]:
     lowered: list[DependencyAlternative] = []
     seen: set[ResourceKey] = set()
     for alt in dependency.alternatives:

@@ -203,8 +203,10 @@ class ComponentOutcome:
     solve_ms: float = 0.0
     #: Parent-side name-decode + selected_nodes time.
     decode_ms: float = 0.0
-    #: Parent-side propagate + typecheck time.
+    #: Parent-side propagate time.
     propagate_ms: float = 0.0
+    #: Parent-side static re-check time.
+    typecheck_ms: float = 0.0
     #: Arrival offset of this reply from dispatch start (streamed
     #: collection), for the overlap trace spans.
     recv_ms: float = 0.0

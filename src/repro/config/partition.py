@@ -51,12 +51,14 @@ class ComponentStats:
     #: Worker-process index that solved this component, or -1 when the
     #: component ran in-process (serial partitioned pipeline).
     worker: int = -1
-    #: Parent-side model decode time (signed-literal array -> names ->
-    #: selected nodes); 0 in-process, where decode is part of solve_ms.
+    #: Model decode time (model -> names -> selected nodes); parent-side
+    #: when a worker solved the component.
     decode_ms: float = 0.0
     #: When this component's reply arrived, as an offset from dispatch
     #: start -- the streamed-collection timeline (0 in-process).
     recv_ms: float = 0.0
+    #: Static re-check of the component's full specification.
+    typecheck_ms: float = 0.0
 
 
 @dataclass

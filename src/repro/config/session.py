@@ -400,18 +400,25 @@ class ConfigurationSession:
         }
         deployed, choices = selected_nodes(entry.graph, named_model)
         outcome = (frozenset(deployed), tuple(sorted(choices.items())))
+        started = time.perf_counter()
+        timings.decode_ms = (started - ticked) * 1000.0
         instances = entry.verified_specs.get(outcome)
         if instances is not None:
             spec = InstallSpec(instances)
             cache.typecheck_skipped = True
             self.stats.typecheck_skips += 1
+            timings.propagate_ms = (time.perf_counter() - started) * 1000.0
         else:
             spec = propagate(self._registry, entry.graph, deployed, choices)
+            ticked = time.perf_counter()
+            timings.propagate_ms = (ticked - started) * 1000.0
             if self._check_types:
                 check_spec(self._registry, spec)
+                timings.typecheck_ms = (
+                    time.perf_counter() - ticked
+                ) * 1000.0
             entry.verified_specs[outcome] = tuple(spec)
             self.stats.typecheck_runs += 1
-        timings.propagate_ms = (time.perf_counter() - ticked) * 1000.0
         emit_config_trace(self._tracer, timings, cache)
         return ConfigurationResult(
             spec=spec,
@@ -507,6 +514,7 @@ class ConfigurationSession:
         choices: dict[tuple[str, int], str] = {}
         outcomes: list[tuple[set[str], dict[tuple[str, int], str]]] = []
         solve_ms: list[float] = []
+        decode_ms: list[float] = []
 
         for comp in entry.components:
             tick = time.perf_counter()
@@ -530,6 +538,7 @@ class ConfigurationSession:
                         comp.formula, comp.solver, comp.assumptions
                     )
                 model = comp.canonical
+            solve_done = time.perf_counter()
             named = {
                 str(name): value
                 for name, value in comp.formula.decode_model(model).items()
@@ -537,19 +546,22 @@ class ConfigurationSession:
             component_deployed, component_choices = selected_nodes(
                 comp.component.graph, named
             )
-            elapsed = (time.perf_counter() - tick) * 1000.0
+            decode_done = time.perf_counter()
             named_model.update(named)
             deployed |= component_deployed
             choices.update(component_choices)
             outcomes.append((component_deployed, component_choices))
-            solve_ms.append(elapsed)
-            timings.solve_ms += elapsed
+            solve_ms.append((solve_done - tick) * 1000.0)
+            decode_ms.append((decode_done - solve_done) * 1000.0)
+            timings.solve_ms += solve_ms[-1]
+            timings.decode_ms += decode_ms[-1]
             _accumulate_solver_stats(aggregate_solver, comp.solver.stats)
 
         ticked = time.perf_counter()
         outcome = (frozenset(deployed), tuple(sorted(choices.items())))
         instances = entry.verified_specs.get(outcome)
         propagate_ms = [0.0] * len(entry.components)
+        typecheck_ms = [0.0] * len(entry.components)
         if instances is not None:
             spec = InstallSpec(instances)
             cache.typecheck_skipped = True
@@ -563,14 +575,21 @@ class ConfigurationSession:
                     self._registry, comp.component.graph,
                     component_deployed, component_choices,
                 )
+                propagate_done = time.perf_counter()
                 if self._check_types:
                     check_spec(self._registry, component_spec)
                 specs.append(component_spec)
-                propagate_ms[index] = (time.perf_counter() - tick) * 1000.0
+                propagate_ms[index] = (propagate_done - tick) * 1000.0
+                typecheck_ms[index] = (
+                    time.perf_counter() - propagate_done
+                ) * 1000.0
             spec = merge_component_specs(specs)
             entry.verified_specs[outcome] = tuple(spec)
             self.stats.typecheck_runs += 1
-        timings.propagate_ms = (time.perf_counter() - ticked) * 1000.0
+        timings.typecheck_ms = sum(typecheck_ms)
+        timings.propagate_ms = (
+            (time.perf_counter() - ticked) * 1000.0 - timings.typecheck_ms
+        )
 
         for index, comp in enumerate(entry.components):
             info.components.append(
@@ -584,6 +603,8 @@ class ConfigurationSession:
                     propagate_ms=propagate_ms[index],
                     decisions=comp.solver.stats.decisions,
                     conflicts=comp.solver.stats.conflicts,
+                    decode_ms=decode_ms[index],
+                    typecheck_ms=typecheck_ms[index],
                 )
             )
         emit_config_trace(self._tracer, timings, cache, partition=info)
@@ -788,6 +809,7 @@ class ConfigurationSession:
             spec = propagate(
                 self._registry, component.graph, comp_deployed, comp_choices
             )
+            propagate_done = time.perf_counter()
             if self._check_types:
                 check_spec(self._registry, spec)
             outcome.named_model = named
@@ -795,8 +817,9 @@ class ConfigurationSession:
             outcome.choices = comp_choices
             outcome.instances = tuple(spec)
             outcome.decode_ms = (decode_done - tick) * 1000.0
-            outcome.propagate_ms = (
-                time.perf_counter() - decode_done
+            outcome.propagate_ms = (propagate_done - decode_done) * 1000.0
+            outcome.typecheck_ms = (
+                time.perf_counter() - propagate_done
             ) * 1000.0
             entry.decoded[outcome.index] = (
                 outcome.named_model, outcome.deployed, outcome.choices,
@@ -877,12 +900,12 @@ class ConfigurationSession:
             entry.verified_specs[outcome_key] = tuple(spec)
             self.stats.typecheck_runs += 1
         merge_ms = (time.perf_counter() - ticked) * 1000.0
+        timings.decode_ms = sum(outcome.decode_ms for outcome in outcomes)
         timings.propagate_ms = (
-            sum(
-                outcome.decode_ms + outcome.propagate_ms
-                for outcome in outcomes
-            )
-            + merge_ms
+            sum(outcome.propagate_ms for outcome in outcomes) + merge_ms
+        )
+        timings.typecheck_ms = sum(
+            outcome.typecheck_ms for outcome in outcomes
         )
 
         for outcome, component in zip(outcomes, parts.components):
@@ -900,6 +923,7 @@ class ConfigurationSession:
                     worker=outcome.worker,
                     decode_ms=outcome.decode_ms,
                     recv_ms=outcome.recv_ms,
+                    typecheck_ms=outcome.typecheck_ms,
                 )
             )
         emit_config_trace(self._tracer, timings, cache, partition=info)

@@ -201,5 +201,17 @@ def _check_link_satisfies(
 def _link_matches(
     registry: ResourceTypeRegistry, key, dep: Dependency
 ) -> bool:
-    lowered = lower_alternatives(registry, dep)
-    return any(registry.is_subtype(key, alt.key) for alt in lowered)
+    """Whether an instance of ``key`` satisfies ``dep``.
+
+    Memoized per registry version on (key, dependency identity): every
+    replica of a stack asks the same handful of questions.
+    """
+    verdicts = registry.derived("link-verdicts", lambda _registry: {})
+    probe = (key, id(dep))
+    hit = verdicts.get(probe)
+    if hit is None:
+        lowered = lower_alternatives(registry, dep)
+        # The entry pins ``dep``, so its id cannot be reused meanwhile.
+        hit = (dep, any(registry.is_subtype(key, alt.key) for alt in lowered))
+        verdicts[probe] = hit
+    return hit[1]

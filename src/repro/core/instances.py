@@ -15,6 +15,7 @@ configuration engine expands it to a full specification.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator, Optional
 
@@ -234,16 +235,17 @@ class InstallSpec:
                 in_degree[instance.id] += 1
                 dependents[upstream].append(instance.id)
 
-        ready = sorted(iid for iid, deg in in_degree.items() if deg == 0)
+        # Kahn's algorithm, always emitting the smallest ready id.
+        ready = [iid for iid, deg in in_degree.items() if deg == 0]
+        heapq.heapify(ready)
         order: list[ResourceInstance] = []
         while ready:
-            current = ready.pop(0)
+            current = heapq.heappop(ready)
             order.append(self._instances[current])
-            for dependent in sorted(dependents[current]):
+            for dependent in dependents[current]:
                 in_degree[dependent] -= 1
                 if in_degree[dependent] == 0:
-                    ready.append(dependent)
-            ready.sort()
+                    heapq.heappush(ready, dependent)
         if len(order) != len(self._instances):
             remaining = sorted(set(self._instances) - {i.id for i in order})
             raise CycleError(

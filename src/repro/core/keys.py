@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterable, Optional
 
 from repro.core.errors import ResourceModelError
@@ -27,9 +27,28 @@ class Version:
     Comparison is lexicographic on the integer components, with missing
     trailing components treated as zero (so ``6.0`` == ``6.0.0`` and
     ``6.0`` < ``6.0.18``).
+
+    The canonical form (trailing zeros stripped) and its hash are
+    computed once at construction: versions are dict keys on every
+    registry and graph lookup.  Neither is pickled (see
+    :meth:`__getstate__`).
     """
 
     parts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        canonical = self.parts
+        while canonical and canonical[-1] == 0:
+            canonical = canonical[:-1]
+        object.__setattr__(self, "_canonical", canonical)
+        object.__setattr__(self, "_hash", hash(canonical))
+
+    def __getstate__(self) -> tuple[int, ...]:
+        return self.parts
+
+    def __setstate__(self, parts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
+        self.__post_init__()
 
     @staticmethod
     def parse(text: str) -> "Version":
@@ -48,19 +67,15 @@ class Version:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Version):
             return NotImplemented
-        width = max(len(self.parts), len(other.parts))
-        return self._padded(width) == other._padded(width)
+        # Equal padded forms <=> equal forms with trailing zeros stripped.
+        return self._canonical == other._canonical
 
     def __lt__(self, other: "Version") -> bool:
         width = max(len(self.parts), len(other.parts))
         return self._padded(width) < other._padded(width)
 
     def __hash__(self) -> int:
-        # Strip trailing zeros so equal versions hash equally.
-        parts = self.parts
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        return hash(parts)
+        return self._hash
 
     def is_unversioned(self) -> bool:
         return not self.parts
@@ -116,10 +131,43 @@ class VersionRange:
 
 @dataclass(frozen=True, order=True)
 class ResourceKey:
-    """The globally unique identifier of a resource type: name + version."""
+    """The globally unique identifier of a resource type: name + version.
+
+    The hash is computed once at construction, and equality tests it
+    before comparing fields, so a dict probe costs one int comparison in
+    the common case.  The cached hash depends on the process's string
+    hash seed, so it never crosses a pickle boundary: a key unpickled
+    in a process with another ``PYTHONHASHSEED`` recomputes it.
+    """
 
     name: str
     version: Version
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.version)))
+
+    def __getstate__(self) -> tuple[str, Version]:
+        return self.name, self.version
+
+    def __setstate__(self, state: tuple[str, Version]) -> None:
+        name, version = state
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "version", version)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, ResourceKey):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.name == other.name
+            and self.version == other.version
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def parse(text: str) -> "ResourceKey":
@@ -129,14 +177,12 @@ class ResourceKey:
         like a dotted number; everything before it is the name (names may
         contain spaces).  Text without a version token parses as an
         *unversioned* key -- used for abstract types such as ``Server``.
+
+        Equal texts give the same object: a fleet spec names a few dozen
+        types across thousands of instances, and identical keys make
+        every dict probe an identity check.
         """
-        text = text.strip()
-        if not text:
-            raise ResourceModelError("empty resource key")
-        name, _, version = text.rpartition(" ")
-        if name and Version.is_valid(version):
-            return ResourceKey(name.strip(), Version.parse(version))
-        return ResourceKey(text, UNVERSIONED)
+        return _parse_key(text)
 
     def display(self) -> str:
         if self.version.is_unversioned():
@@ -145,6 +191,17 @@ class ResourceKey:
 
     def __str__(self) -> str:
         return self.display()
+
+
+@lru_cache(maxsize=4096)
+def _parse_key(text: str) -> ResourceKey:
+    text = text.strip()
+    if not text:
+        raise ResourceModelError("empty resource key")
+    name, _, version = text.rpartition(" ")
+    if name and Version.is_valid(version):
+        return ResourceKey(name.strip(), Version.parse(version))
+    return ResourceKey(text, UNVERSIONED)
 
 
 def select_versions(

@@ -264,3 +264,95 @@ class TestLowerAlternatives:
         lowered = lower_alternatives(registry, tomcat.environment[0])
         for alt in lowered:
             assert alt.port_mapping.as_dict() == {"java": "java"}
+
+
+class _CountingSourceId:
+    """Stands in for ``HyperEdge.source_id`` and counts every read.
+
+    A data descriptor on the class takes precedence over the instance
+    dict, so each edge's own value is kept there and served from it.
+    """
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def __get__(self, edge, owner=None):
+        if edge is None:
+            return self
+        self.reads += 1
+        return edge.__dict__["source_id"]
+
+    def __set__(self, edge, value) -> None:
+        edge.__dict__["source_id"] = value
+
+
+class TestEdgeIndex:
+    """``edges_from`` is served from a per-source index, not a scan."""
+
+    @pytest.fixture
+    def fleet_graph(self, registry):
+        from repro.library.fleet import FleetTopology, fleet_partial
+
+        partial = fleet_partial(FleetTopology(replicas=12, machines=4))
+        return generate_graph(registry, partial)
+
+    def test_matches_linear_filter_for_every_node(self, fleet_graph):
+        edges = fleet_graph.edges()
+        without_out_edges = 0
+        for node in fleet_graph.nodes():
+            expected = [e for e in edges if e.source_id == node.instance_id]
+            assert fleet_graph.edges_from(node.instance_id) == expected
+            without_out_edges += not expected
+        assert without_out_edges > 0  # machines have no out-edges
+        assert fleet_graph.edges_from("no-such-node") == []
+
+    def test_keeps_insertion_order_and_returns_a_copy(self):
+        from repro.config.hypergraph import HyperEdge, ResourceGraph
+        from repro.core.resource_type import DependencyAlternative
+
+        graph = ResourceGraph()
+        alternative = DependencyAlternative(as_key("T 1"))
+        sources = ["b", "a", "b", "c", "a", "b"]
+        for position, source in enumerate(sources):
+            graph.add_edge(HyperEdge(
+                source, DependencyKind.PEER, (f"t{position}",),
+                (alternative,),
+            ))
+        assert [e.targets[0] for e in graph.edges_from("b")] == [
+            "t0", "t2", "t5",
+        ]
+        graph.edges_from("b").clear()
+        assert len(graph.edges_from("b")) == 3
+
+    def test_configure_inspects_each_edge_a_constant_number_of_times(
+        self, registry, monkeypatch
+    ):
+        """A count, not a time: decode and link building ask for every
+        deployed node's out-edges, so a scanning ``edges_from`` reads
+        every edge's source once per node (quadratic)."""
+        from repro.config import ConfigurationEngine
+        from repro.config.hypergraph import HyperEdge, ResourceGraph
+        from repro.library.fleet import FleetTopology, fleet_partial
+
+        partial = fleet_partial(FleetTopology(
+            replicas=36, machines=12, stacks=("openmrs", "jasper", "django"),
+        ))
+        counter = _CountingSourceId()
+        monkeypatch.setattr(HyperEdge, "source_id", counter, raising=False)
+        returned = 0
+        edges_from = ResourceGraph.edges_from
+
+        def counted_edges_from(graph, instance_id):
+            nonlocal returned
+            found = edges_from(graph, instance_id)
+            returned += len(found)
+            return found
+
+        monkeypatch.setattr(ResourceGraph, "edges_from", counted_edges_from)
+        result = ConfigurationEngine(registry).configure(partial)
+        num_edges = len(result.graph.edges())
+        assert len(result.graph) > 150
+        # Decode and link building each fetch a deployed node's edges once.
+        assert returned <= 2 * num_edges
+        # Indexing and encoding read each edge's source once apiece.
+        assert counter.reads <= 3 * num_edges

@@ -1,5 +1,7 @@
 """Resource instances and installation specifications."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -129,6 +131,50 @@ class TestTopologicalOrder:
         assert [i.id for i in spec.topological_order()] == [
             i.id for i in spec.topological_order()
         ]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_sorted_pop_reference(self, seed):
+        """Smallest-ready-id-first Kahn order, checked against the
+        original sort-then-pop(0) loop on seeded random DAGs (with
+        repeated links, several roots and unsorted insertion)."""
+        rng = random.Random(seed)
+        size = rng.randint(1, 60)
+        ids = rng.sample([f"n{k:03d}" for k in range(500)], size)
+        instances = []
+        for position, instance_id in enumerate(ids):
+            upstream = rng.sample(ids[:position], min(position, 3))
+            upstream += rng.sample(upstream, min(len(upstream), 1))
+            instances.append(ResourceInstance(
+                id=instance_id, key=as_key("X 1"),
+                environment=tuple(link("environment", u) for u in upstream),
+            ))
+        rng.shuffle(instances)
+        spec = InstallSpec(instances)
+        assert [i.id for i in spec.topological_order()] == (
+            _sorted_pop_order(spec)
+        )
+
+
+def _sorted_pop_order(spec):
+    """The reference: Kahn's algorithm re-sorting its ready list after
+    every pop, as ``topological_order`` was first written."""
+    in_degree = {instance.id: 0 for instance in spec}
+    dependents = {instance.id: [] for instance in spec}
+    for instance in spec:
+        for upstream in instance.upstream_ids():
+            in_degree[instance.id] += 1
+            dependents[upstream].append(instance.id)
+    ready = sorted(iid for iid, degree in in_degree.items() if degree == 0)
+    order = []
+    while ready:
+        current = ready.pop(0)
+        order.append(current)
+        for dependent in sorted(dependents[current]):
+            in_degree[dependent] -= 1
+            if in_degree[dependent] == 0:
+                ready.append(dependent)
+        ready.sort()
+    return order
 
 
 class TestMachineOrder:

@@ -1,9 +1,16 @@
 """Versions, version ranges, and resource keys."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.core import (
     ResourceKey,
     UNVERSIONED,
@@ -159,3 +166,61 @@ class TestResourceKey:
 
     def test_keys_hashable(self):
         assert len({ResourceKey.parse("A 1"), ResourceKey.parse("A 1")}) == 1
+
+    def test_parse_returns_one_object_per_text(self):
+        assert ResourceKey.parse("Tomcat 6.0.18") is ResourceKey.parse(
+            "Tomcat 6.0.18"
+        )
+        for _ in range(2):
+            with pytest.raises(ResourceModelError):
+                ResourceKey.parse("  ")
+
+    def test_trailing_zero_versions_equal_and_hash_equal(self):
+        short = ResourceKey.parse("Tomcat 6.0")
+        long = ResourceKey("Tomcat", Version((6, 0, 0)))
+        assert short == long
+        assert hash(short) == hash(long)
+        assert {short: "found"}[long] == "found"
+        assert short != ResourceKey.parse("Tomcat 6.0.1")
+        assert short != ResourceKey.parse("Tomcat6 6.0")
+
+    @given(st.lists(
+        st.tuples(st.sampled_from(["A", "B", "Tomcat", "Tomcat 6"]), versions),
+        max_size=12,
+    ))
+    def test_sort_order_is_name_then_padded_version(self, pairs):
+        keys = [ResourceKey(name, version) for name, version in pairs]
+
+        def reference(key):
+            return key.name, key.version.parts + (0,) * (
+                8 - len(key.version.parts)
+            )
+
+        assert sorted(keys) == sorted(keys, key=reference)
+
+    def test_pickled_under_another_hash_seed_still_found(self):
+        """The cached hash depends on the string hash seed, so it must
+        not travel with the pickle: keys pickled by a process with a
+        different ``PYTHONHASHSEED`` are looked up in a dict of keys
+        built here."""
+        texts = ["Tomcat 6.0.18", "Server", "Mac-OSX 10.6", "JRE 1.6"]
+        script = (
+            "import pickle, sys\n"
+            "from repro.core.keys import ResourceKey\n"
+            f"keys = [ResourceKey.parse(t) for t in {texts!r}]\n"
+            "sys.stdout.buffer.write(pickle.dumps((keys, hash(keys[0]))))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(
+            Path(repro.__file__).resolve().parents[1]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            check=True, timeout=60,
+        )
+        keys, child_hash = pickle.loads(done.stdout)
+        fresh = {ResourceKey.parse(text): text for text in texts}
+        assert child_hash != hash(ResourceKey.parse(texts[0]))
+        for key, text in zip(keys, texts):
+            assert fresh[key] == text
+            assert hash(key) == hash(ResourceKey.parse(text))

@@ -220,8 +220,8 @@ class TestDeployTracing:
         assert tracer.metrics.histogram("scheduler.ready_queue_depth").count
         config_spans = tracer.spans(category="config")
         assert [s.name for s in config_spans] == [
-            "configure:graph", "configure:encode",
-            "configure:solve", "configure:propagate",
+            "configure:graph", "configure:encode", "configure:solve",
+            "configure:decode", "configure:propagate", "configure:typecheck",
         ]
         journal_instants = tracer.instants(category="journal")
         assert {e.name for e in journal_instants} >= {"record", "completed"}

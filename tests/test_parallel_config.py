@@ -453,9 +453,10 @@ class TestWorkerFailures:
 
 class TestStreamedCollection:
     def test_parent_decode_overlaps_worker_spans(self):
-        """The streamed-collection signature: parent-side decode and
-        propagate spans of early components sit inside other
-        components' worker-side windows on the dispatch timeline."""
+        """The streamed-collection signature: parent-side decode,
+        propagate and typecheck spans of early components sit inside
+        other components' worker-side windows on the dispatch
+        timeline."""
         tracer = Tracer()
         partial = small_fleet(replicas=12, machines=6)
         with ConfigurationEngine(
@@ -473,6 +474,7 @@ class TestStreamedCollection:
             span for span in component_spans
             if span.name.endswith(":decode")
             or span.name.endswith(":propagate")
+            or span.name.endswith(":typecheck")
         ]
         worker_side = [
             span for span in component_spans

@@ -102,3 +102,68 @@ class TestPhysicalContext:
         )
         problems = spec_problems(registry, rebuild(spec, **{java_id: moved}))
         assert any("different machine" in p for p in problems)
+
+
+def _openjdk_type():
+    """A new concrete ``Java`` runtime, registered after the fact."""
+    from repro.core import define
+    from repro.core.values import Lit, RecordExpr
+    from repro.library.base import JAVA_RECORD
+
+    return (
+        define("OpenJDK", "1.6", extends="Java")
+        .output(
+            "java", JAVA_RECORD,
+            value=RecordExpr.of(
+                home=Lit("/usr/lib/jvm/openjdk-1.6"), version=Lit("1.6"),
+                kind=Lit("jdk"),
+            ),
+        )
+        .build()
+    )
+
+
+def _with_openjdk(partial):
+    from repro.core import PartialInstallSpec, PartialInstance
+
+    return PartialInstallSpec(list(partial) + [
+        PartialInstance("openjdk", as_key("OpenJDK 1.6"), inside_id="server"),
+    ])
+
+
+class TestRegistryVersionedMemos:
+    """Lowering and link verdicts are memoized per registry version, so
+    registering a type after a configure changes the next one."""
+
+    def test_new_concrete_subtype_changes_lowering_and_typecheck(
+        self, registry, openmrs_partial
+    ):
+        from repro.config import lower_alternatives
+        from repro.library import standard_registry
+
+        extended = standard_registry()
+        extended.register(_openjdk_type())
+        partial = _with_openjdk(openmrs_partial)
+        expected = ConfigurationEngine(extended).configure(partial).spec
+
+        # Warm every memo on the registry that is about to change.
+        ConfigurationEngine(registry).configure(openmrs_partial)
+        java_dep = registry.effective(as_key("Tomcat 6.0.18")).environment[0]
+        assert as_key("OpenJDK 1.6") not in {
+            alt.key for alt in lower_alternatives(registry, java_dep)
+        }
+        problems = spec_problems(registry, expected)
+        assert any(
+            p.startswith("tomcat: unsatisfied environment dependency")
+            for p in problems
+        )
+
+        registry.register(_openjdk_type())
+        assert as_key("OpenJDK 1.6") in {
+            alt.key for alt in lower_alternatives(registry, java_dep)
+        }
+        assert spec_problems(registry, expected) == []
+        spec = ConfigurationEngine(registry).configure(partial).spec
+        (java_link,) = spec["tomcat"].environment
+        assert java_link.target.id == "openjdk"
+        assert [i for i in spec] == [i for i in expected]
