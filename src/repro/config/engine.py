@@ -29,7 +29,6 @@ from repro.config.constraints import (
 from repro.config.hypergraph import ResourceGraph, generate_graph
 from repro.config.partition import (
     ComponentStats,
-    Partition,
     PartitionInfo,
     merge_component_specs,
     partition_graph,
@@ -57,13 +56,6 @@ class PhaseTimings:
     #: The static re-check of the full specification (0 when disabled
     #: or served from a session's verified-spec cache).
     typecheck_ms: float = 0.0
-    #: Wall-clock time of the process-pool dispatch+collect, 0 when the
-    #: components ran in-process.  Deliberately *not* part of
-    #: :attr:`total_ms`: the other phases already account the same
-    #: work as per-component sums, so ``total_ms`` stays comparable
-    #: across serial and parallel runs (CPU-time-like), while this field
-    #: is what the wall clock actually saw.
-    parallel_wall_ms: float = 0.0
 
     @property
     def total_ms(self) -> float:
@@ -200,20 +192,9 @@ def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
         # One span per component on its own sub-lane, so a fleet-sized
         # configure shows where each machine group spent its time.  The
         # component index and node count ride along as args (the span
-        # name alone is not machine-filterable in Perfetto), plus the
-        # worker id when a process pool solved the component.
-        if partition.workers and partition.wire is not None:
-            component_end = _emit_streamed_component_spans(
-                tracer, partition, start
-            )
-        else:
-            component_end = _emit_serial_component_spans(
-                tracer, partition, start
-            )
+        # name alone is not machine-filterable in Perfetto).
+        start = _emit_component_spans(tracer, partition, start)
         tracer.metrics.histogram("config.components").observe(partition.count)
-        if partition.workers:
-            tracer.metrics.counter("config.parallel_configures").inc()
-        start = max(start, component_end)
     if cache is not None:
         tracer.instant(
             "cache", category="config", timestamp=start, lane="config",
@@ -223,9 +204,9 @@ def emit_config_trace(tracer, timings, cache=None, partition=None) -> None:
         )
 
 
-def _emit_serial_component_spans(tracer, partition, start) -> float:
-    """Per-component spans for the in-process pipeline: components ran
-    one after another, so the spans are stacked sequentially."""
+def _emit_component_spans(tracer, partition, start) -> float:
+    """Per-component spans: components ran one after another, so the
+    spans are stacked sequentially."""
     component_start = start
     for component in partition.components:
         wall_ms = (
@@ -233,111 +214,17 @@ def _emit_serial_component_spans(tracer, partition, start) -> float:
             + component.propagate_ms + component.typecheck_ms
         )
         duration = wall_ms / 1000.0
-        args = dict(
-            wall_ms=round(wall_ms, 3), component=component.index,
-            nodes=component.nodes, edges=component.edges,
-            pinned=component.pinned, decisions=component.decisions,
-            conflicts=component.conflicts,
-        )
-        if component.worker >= 0:
-            args["worker"] = component.worker
         tracer.span(
             f"configure:component[{component.index}]",
             category="config", start=component_start, duration=duration,
-            lane="config", **args,
+            lane="config", wall_ms=round(wall_ms, 3),
+            component=component.index, nodes=component.nodes,
+            edges=component.edges, pinned=component.pinned,
+            decisions=component.decisions, conflicts=component.conflicts,
         )
         tracer.metrics.histogram("config.component_ms").observe(wall_ms)
         component_start += duration
     return component_start
-
-
-def _emit_streamed_component_spans(tracer, partition, start) -> float:
-    """Per-component spans for the process-pool pipeline, laid out on
-    the *real* dispatch-relative timeline.
-
-    Each component's reply arrival (``recv_ms``) anchors its spans: the
-    worker-measured encode/solve spans end at the arrival, the
-    parent-side decode/propagate/typecheck spans begin there.  Because
-    the parent decodes streamed replies while other workers are still
-    solving, parent-side spans of early components visibly *overlap*
-    the solve spans of late ones -- the signature of streamed
-    collection.
-    Spans are emitted in component-index order (deterministic), not
-    arrival order.
-    """
-    wire = partition.wire
-    tracer.span(
-        "configure:dispatch", category="config", start=start,
-        duration=wire.dispatch_ms / 1000.0, lane="config",
-        wall_ms=round(wire.dispatch_ms, 3),
-        request_bytes=wire.request_bytes,
-    )
-    tracer.metrics.histogram("config.wire_reply_bytes").observe(
-        wire.reply_bytes
-    )
-    tracer.metrics.histogram("config.wire_reply_frames").observe(
-        wire.reply_frames
-    )
-    end = start + wire.dispatch_ms / 1000.0
-    for component in partition.components:
-        recv = start + component.recv_ms / 1000.0
-        worker_ms = component.encode_ms + component.solve_ms
-        worker_start = max(start, recv - worker_ms / 1000.0)
-        parent_ms = (
-            component.decode_ms + component.propagate_ms
-            + component.typecheck_ms
-        )
-        wall_ms = worker_ms + parent_ms
-        tracer.span(
-            f"configure:component[{component.index}]",
-            category="config", start=worker_start,
-            duration=(recv - worker_start) + parent_ms / 1000.0,
-            lane="config",
-            wall_ms=round(wall_ms, 3), component=component.index,
-            nodes=component.nodes, edges=component.edges,
-            pinned=component.pinned, decisions=component.decisions,
-            conflicts=component.conflicts, worker=component.worker,
-        )
-        phase_start = worker_start
-        for phase_name, phase_ms in (
-            ("encode", component.encode_ms),
-            ("solve", component.solve_ms),
-        ):
-            if phase_ms <= 0.0:
-                continue
-            tracer.span(
-                f"configure:component[{component.index}]:{phase_name}",
-                category="config", start=phase_start,
-                duration=phase_ms / 1000.0, lane="config",
-                wall_ms=round(phase_ms, 3), component=component.index,
-                nodes=component.nodes, worker=component.worker,
-            )
-            phase_start += phase_ms / 1000.0
-        tracer.instant(
-            f"configure:component[{component.index}]:recv",
-            category="config", timestamp=recv, lane="config",
-            recv_ms=round(component.recv_ms, 3),
-            component=component.index, worker=component.worker,
-        )
-        phase_start = recv
-        for phase_name, phase_ms in (
-            ("decode", component.decode_ms),
-            ("propagate", component.propagate_ms),
-            ("typecheck", component.typecheck_ms),
-        ):
-            if phase_ms <= 0.0:
-                continue
-            tracer.span(
-                f"configure:component[{component.index}]:{phase_name}",
-                category="config", start=phase_start,
-                duration=phase_ms / 1000.0, lane="config",
-                wall_ms=round(phase_ms, 3), component=component.index,
-                nodes=component.nodes, worker=component.worker,
-            )
-            phase_start += phase_ms / 1000.0
-        tracer.metrics.histogram("config.component_ms").observe(wall_ms)
-        end = max(end, phase_start)
-    return end
 
 
 class ConfigurationEngine:
@@ -347,13 +234,9 @@ class ConfigurationEngine:
     connected components after GraphGen and encodes/solves/propagates
     each component independently (:mod:`repro.config.partition`); the
     resulting specification is bit-identical to the monolithic one.
-    With ``workers`` set, the partitioned components fan out across a
-    persistent process pool (:mod:`repro.config.parallel`; 0 = one
-    worker per core) -- still bit-identical, near-linear in cores on
-    fleet-shaped graphs.  ``configure(..., partition=..., workers=...)``
-    overrides either mode per call.  Engines holding a pool should be
-    ``close()``d (or used as context managers); an un-closed pool is
-    reaped by GC/daemon cleanup.
+    ``configure(..., partition=...)`` overrides the mode per call.
+    Every stage runs in the calling process (see docs/INTERNALS.md,
+    "Partitioned configuration", for why there is no process pool).
     """
 
     def __init__(
@@ -367,19 +250,12 @@ class ConfigurationEngine:
         explain_unsat: bool = True,
         peer_policy: str = "colocate",
         partition: bool = False,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
         tracer=None,
     ) -> None:
         if partition and solver == "dpll":
             raise ConfigurationError(
                 "partitioned solving requires the cdcl solver (the DPLL "
                 "ablation baseline has no canonical decomposition)"
-            )
-        if workers is not None and not partition:
-            raise ConfigurationError(
-                "parallel configuration (workers=...) requires "
-                "partition=True"
             )
         self._registry = registry
         self._encoding = encoding
@@ -388,9 +264,6 @@ class ConfigurationEngine:
         self._explain_unsat = explain_unsat
         self._peer_policy = peer_policy
         self._partition = partition
-        self._workers = workers
-        self._start_method = start_method
-        self._pool = None
         self._tracer = tracer
         if verify_registry:
             # Memoized on the registry: many engines over one registry
@@ -401,61 +274,20 @@ class ConfigurationEngine:
     def registry(self) -> ResourceTypeRegistry:
         return self._registry
 
-    def close(self) -> None:
-        """Shut down the worker pool, if one was spun up (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ConfigurationEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def _ensure_pool(self, workers: int):
-        """The persistent pool, recycled on size/registry changes."""
-        from repro.config.parallel import WorkerPool, resolve_workers
-
-        resolved = resolve_workers(workers)
-        pool = self._pool
-        if pool is not None and (
-            pool.closed
-            or pool.workers != resolved
-            or pool.registry_version != self._registry.version
-        ):
-            pool.close()
-            pool = None
-        if pool is None:
-            pool = WorkerPool(
-                self._registry, workers=resolved, encoding=self._encoding,
-                start_method=self._start_method,
-            )
-            self._pool = pool
-        return pool
-
     def configure(
         self,
         partial: PartialInstallSpec,
         *,
         partition: Optional[bool] = None,
-        workers: Optional[int] = None,
     ) -> ConfigurationResult:
         """Compute a full installation specification extending ``partial``.
 
         Raises :class:`UnsatisfiableError` when no extension exists
         (Theorem 1), and surfaces any propagation or typechecking error.
-        ``partition`` and ``workers`` override the engine's configured
-        modes for this call (``workers``: None = in-process, 0 = one
-        worker per core, N = a pool of N processes).
+        ``partition`` overrides the engine's configured mode for this
+        call.
         """
         use_partition = self._partition if partition is None else partition
-        use_workers = self._workers if workers is None else workers
-        if use_workers is not None and not use_partition:
-            raise ConfigurationError(
-                "parallel configuration (workers=...) requires "
-                "partition=True"
-            )
         if use_partition:
             if self._solver == "dpll":
                 raise ConfigurationError(
@@ -463,8 +295,6 @@ class ConfigurationEngine:
                     "DPLL ablation baseline has no canonical "
                     "decomposition)"
                 )
-            if use_workers is not None:
-                return self._configure_parallel(partial, use_workers)
             return self._configure_partitioned(partial)
         timings = PhaseTimings()
         started = time.perf_counter()
@@ -597,152 +427,6 @@ class ConfigurationEngine:
                 typecheck_ms=(typecheck_done - propagate_done) * 1000.0,
                 decisions=solver.stats.decisions,
                 conflicts=solver.stats.conflicts,
-            )
-            info.components.append(stats)
-            _accumulate_component_timings(timings, stats)
-
-        tick = time.perf_counter()
-        spec = merge_component_specs(specs)
-        timings.propagate_ms += (time.perf_counter() - tick) * 1000.0
-        emit_config_trace(self._tracer, timings, partition=info)
-        return ConfigurationResult(
-            spec=spec,
-            graph=graph,
-            formula=None,
-            model=named_model,
-            constraint_stats=aggregate_constraints,
-            solver_stats=aggregate_solver,
-            deployed_ids=deployed,
-            timings=timings,
-            partition=info,
-        )
-
-    def _configure_parallel(
-        self, partial: PartialInstallSpec, workers: int
-    ) -> ConfigurationResult:
-        """The partitioned pipeline fanned out over the process pool.
-
-        Workers run the exact per-component encode/solve sequence of
-        :meth:`_configure_partitioned` and stream back one compact
-        reply per component (the canonical model as a signed-literal
-        array); the parent decodes, propagates and typechecks each
-        reply as it arrives -- overlapping with components still
-        solving -- then merges outcomes in component-index order, so
-        the result is bit-identical to the serial partitioned (and
-        monolithic) pipeline.
-        """
-        from repro.config.parallel import (
-            decode_component_model,
-            raise_component_error,
-            resolve_workers,
-        )
-
-        timings = PhaseTimings()
-        started = time.perf_counter()
-        graph = generate_graph(
-            self._registry, partial, peer_policy=self._peer_policy
-        )
-        ticked = time.perf_counter()
-        timings.graph_ms = (ticked - started) * 1000.0
-        parts = partition_graph(graph)
-        started = time.perf_counter()
-        timings.partition_ms = (started - ticked) * 1000.0
-
-        if not parts.components:
-            info = PartitionInfo(
-                partition_ms=timings.partition_ms,
-                workers=resolve_workers(workers),
-            )
-            emit_config_trace(self._tracer, timings, partition=info)
-            return ConfigurationResult(
-                spec=merge_component_specs([]), graph=graph, formula=None,
-                model={}, constraint_stats=ConstraintStats(0, 0, 0, 0),
-                solver_stats=SolverStats(components=0), deployed_ids=set(),
-                timings=timings, partition=info,
-            )
-
-        pool = self._ensure_pool(workers)
-        info = PartitionInfo(
-            partition_ms=timings.partition_ms, workers=pool.workers
-        )
-        components_by_index = {
-            component.index: component for component in parts.components
-        }
-
-        def materialize(outcome) -> None:
-            # Streamed parent-side half of the pipeline: decode the
-            # signed-literal model against the component graph the
-            # parent already holds, then propagate and typecheck --
-            # all while other components are still solving.
-            component = components_by_index[outcome.index]
-            tick = time.perf_counter()
-            named, comp_deployed, comp_choices = decode_component_model(
-                component, outcome.model
-            )
-            decode_done = time.perf_counter()
-            spec = propagate(
-                self._registry, component.graph, comp_deployed, comp_choices
-            )
-            propagate_done = time.perf_counter()
-            if self._check_types:
-                check_spec(self._registry, spec)
-            outcome.named_model = named
-            outcome.deployed = frozenset(comp_deployed)
-            outcome.choices = comp_choices
-            outcome.instances = tuple(spec)
-            outcome.decode_ms = (decode_done - tick) * 1000.0
-            outcome.propagate_ms = (propagate_done - decode_done) * 1000.0
-            outcome.typecheck_ms = (
-                time.perf_counter() - propagate_done
-            ) * 1000.0
-
-        tick = time.perf_counter()
-        outcomes = pool.run_components(
-            parts.components, on_outcome=materialize
-        )
-        timings.parallel_wall_ms = (time.perf_counter() - tick) * 1000.0
-        info.wire = pool.last_wire
-
-        failure = next(
-            (o for o in outcomes if o.status != "sat"), None
-        )  # outcomes are index-sorted: this is the serial first failure
-        if failure is not None:
-            timings.encode_ms += failure.encode_ms
-            timings.solve_ms += failure.solve_ms
-            if failure.status == "unsat":
-                raise_unsatisfiable(
-                    self._registry, partial, graph,
-                    explain=self._explain_unsat, partition=True,
-                )
-            raise_component_error(failure)
-
-        aggregate_constraints = ConstraintStats(0, 0, 0, 0)
-        aggregate_solver = SolverStats(components=len(parts.components))
-        named_model: dict[str, bool] = {}
-        deployed: set[str] = set()
-        specs: list[InstallSpec] = []
-        for component, outcome in zip(parts.components, outcomes):
-            named_model.update(outcome.named_model)
-            deployed |= outcome.deployed
-            specs.append(InstallSpec(outcome.instances))
-            _accumulate_constraint_stats(
-                aggregate_constraints, outcome.constraint_stats
-            )
-            _accumulate_solver_stats(aggregate_solver, outcome.solver_stats)
-            stats = ComponentStats(
-                index=component.index,
-                nodes=len(component.graph),
-                edges=len(component.graph.edges()),
-                pinned=len(component.pinned),
-                encode_ms=outcome.encode_ms,
-                solve_ms=outcome.solve_ms,
-                propagate_ms=outcome.propagate_ms,
-                decisions=outcome.solver_stats.decisions,
-                conflicts=outcome.solver_stats.conflicts,
-                worker=outcome.worker,
-                decode_ms=outcome.decode_ms,
-                recv_ms=outcome.recv_ms,
-                typecheck_ms=outcome.typecheck_ms,
             )
             info.components.append(stats)
             _accumulate_component_timings(timings, stats)

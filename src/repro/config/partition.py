@@ -48,15 +48,8 @@ class ComponentStats:
     propagate_ms: float = 0.0
     decisions: int = 0
     conflicts: int = 0
-    #: Worker-process index that solved this component, or -1 when the
-    #: component ran in-process (serial partitioned pipeline).
-    worker: int = -1
-    #: Model decode time (model -> names -> selected nodes); parent-side
-    #: when a worker solved the component.
+    #: Model decode time (model -> names -> selected nodes).
     decode_ms: float = 0.0
-    #: When this component's reply arrived, as an offset from dispatch
-    #: start -- the streamed-collection timeline (0 in-process).
-    recv_ms: float = 0.0
     #: Static re-check of the component's full specification.
     typecheck_ms: float = 0.0
 
@@ -67,12 +60,6 @@ class PartitionInfo:
 
     components: list[ComponentStats] = field(default_factory=list)
     partition_ms: float = 0.0
-    #: Process-pool size when the components were solved in parallel;
-    #: 0 means the serial in-process pipeline.
-    workers: int = 0
-    #: Wire accounting of the pool dispatch
-    #: (:class:`repro.config.parallel.WireStats`); None in-process.
-    wire: object = None
 
     @property
     def count(self) -> int:
@@ -97,11 +84,6 @@ class GraphComponent:
     graph: ResourceGraph
     node_ids: tuple[str, ...]
     pinned: tuple[str, ...]
-
-    @property
-    def nodes(self) -> int:
-        """Node count -- the size LPT assignment schedules by."""
-        return len(self.node_ids)
 
 
 class Partition:

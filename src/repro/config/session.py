@@ -64,7 +64,6 @@ from repro.config.hypergraph import ResourceGraph, generate_graph
 from repro.config.partition import (
     ComponentStats,
     GraphComponent,
-    Partition,
     PartitionInfo,
     merge_component_specs,
     partition_graph,
@@ -103,8 +102,7 @@ class _Entry:
 
     __slots__ = (
         "graph", "formula", "constraint_stats", "assumptions", "solver",
-        "canonical", "verified_specs", "partition", "components",
-        "stats_ready", "decoded",
+        "canonical", "verified_specs", "components",
     )
 
     def __init__(
@@ -128,21 +126,9 @@ class _Entry:
         #: instances are frozen dataclasses, so reuse is safe; only the
         #: InstallSpec container is rebuilt per call.
         self.verified_specs: dict[tuple, tuple] = {}
-        #: Partitioned-mode state: the component split of ``graph`` and
-        #: one :class:`_ComponentEntry` per component (None/[] for
-        #: monolithic entries).  Parallel-mode entries carry only the
-        #: partition -- encodings and solvers live in the workers.
-        self.partition: Optional[Partition] = None
+        #: Partitioned-mode state: one :class:`_ComponentEntry` per
+        #: component of ``graph`` ([] for monolithic entries).
         self.components: list[_ComponentEntry] = []
-        #: Whether :attr:`constraint_stats` was filled from the first
-        #: worker round-trip (parallel-mode entries only).
-        self.stats_ready = False
-        #: Parallel-mode decode cache: component index -> (named model,
-        #: deployed frozenset, choices, propagated instance tuple).  A
-        #: worker whose model repeats sends a bare ``MODEL_UNCHANGED``
-        #: header and the parent re-serves this cache; component
-        #: indexes *missing* here are forced to ship a full model.
-        self.decoded: dict[int, tuple] = {}
 
 
 class _ComponentEntry:
@@ -192,8 +178,6 @@ class ConfigurationSession:
         explain_unsat: bool = True,
         peer_policy: str = "colocate",
         partition: bool = False,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
         max_entries: int = 1024,
         tracer=None,
     ) -> None:
@@ -204,11 +188,6 @@ class ConfigurationSession:
                 "partitioned solving requires the cdcl solver (the DPLL "
                 "ablation baseline has no canonical decomposition)"
             )
-        if workers is not None and not partition:
-            raise ConfigurationError(
-                "parallel configuration (workers=...) requires "
-                "partition=True"
-            )
         self._registry = registry
         self._encoding = encoding
         self._solver = solver
@@ -217,16 +196,12 @@ class ConfigurationSession:
         self._explain_unsat = explain_unsat
         self._peer_policy = peer_policy
         self._partition = partition
-        self._workers = workers
-        self._start_method = start_method
-        self._pool = None
         self._max_entries = max_entries
         self._tracer = tracer
-        #: Keyed by (mode, fingerprint) where mode is False (monolithic),
-        #: True (in-process partitioned) or "parallel" (process pool):
-        #: the modes cache different artifacts (one formula/solver, one
-        #: per component, or worker-resident state plus the partition),
-        #: so a mode flip must never serve another mode's entry.
+        #: Keyed by (partitioned, fingerprint): the two modes cache
+        #: different artifacts (one formula and solver, or one per
+        #: component), so a mode flip must never serve the other mode's
+        #: entry.
         self._entries: dict[tuple, _Entry] = {}
         self.stats = SessionStats()
         if verify_registry:
@@ -242,23 +217,8 @@ class ConfigurationSession:
         return len(self._entries)
 
     def flush(self) -> None:
-        """Drop every cached graph, formula, and solver (parent and
-        worker side alike)."""
+        """Drop every cached graph, formula, and solver."""
         self._entries.clear()
-        if self._pool is not None:
-            self._pool.flush()
-
-    def close(self) -> None:
-        """Shut down the worker pool, if one was spun up (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ConfigurationSession":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     # -- Cache plumbing -------------------------------------------------
 
@@ -267,10 +227,6 @@ class ConfigurationSession:
         if self._registry.version == self._registry_version:
             return
         self.flush()
-        # Workers hold a snapshot of the registry from pool creation;
-        # a mutated registry makes that snapshot stale, so the pool is
-        # recycled (the next parallel call re-forks fresh workers).
-        self.close()
         self.stats.invalidations += 1
         if self._verify_registry:
             assert_well_formed(self._registry)
@@ -287,31 +243,7 @@ class ConfigurationSession:
         if len(self._entries) > self._max_entries:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
-            if oldest[0] == "parallel" and self._pool is not None:
-                # Mirror the LRU eviction into the workers' caches.
-                self._pool.evict(oldest[1])
             self.stats.evictions += 1
-
-    def _ensure_pool(self, workers: int):
-        """The persistent pool, recycled on size/registry changes."""
-        from repro.config.parallel import WorkerPool, resolve_workers
-
-        resolved = resolve_workers(workers)
-        pool = self._pool
-        if pool is not None and (
-            pool.closed
-            or pool.workers != resolved
-            or pool.registry_version != self._registry.version
-        ):
-            pool.close()
-            pool = None
-        if pool is None:
-            pool = WorkerPool(
-                self._registry, workers=resolved, encoding=self._encoding,
-                start_method=self._start_method,
-            )
-            self._pool = pool
-        return pool
 
     # -- The pipeline ---------------------------------------------------
 
@@ -320,39 +252,24 @@ class ConfigurationSession:
         partial: PartialInstallSpec,
         *,
         partition: Optional[bool] = None,
-        workers: Optional[int] = None,
     ) -> ConfigurationResult:
         """Expand ``partial``, reusing every cache the session holds.
 
         Semantics match :meth:`ConfigurationEngine.configure`, including
         :class:`~repro.core.errors.UnsatisfiableError` on Theorem 1
-        failures.  ``partition`` and ``workers`` override the session's
-        configured modes for this call; the modes never share cache
-        entries.  With ``workers`` (0 = one per core) the components are
-        solved on the session's persistent process pool, and the warm
-        per-component encodings and incremental solvers live inside the
-        workers, keyed by the partial-spec fingerprint.
+        failures.  ``partition`` overrides the session's configured mode
+        for this call; the two modes never share cache entries.
         """
         use_partition = self._partition if partition is None else partition
-        use_workers = self._workers if workers is None else workers
         if use_partition and self._solver == "dpll":
             raise ConfigurationError(
                 "partitioned solving requires the cdcl solver (the DPLL "
                 "ablation baseline has no canonical decomposition)"
             )
-        if use_workers is not None and not use_partition:
-            raise ConfigurationError(
-                "parallel configuration (workers=...) requires "
-                "partition=True"
-            )
         self._revalidate()
         self.stats.configure_calls += 1
         timings = PhaseTimings()
         cache = SessionCacheInfo(fingerprint=fingerprint_partial(partial))
-        if use_workers is not None:
-            return self._configure_parallel(
-                partial, cache, timings, use_workers
-            )
         key = (use_partition, cache.fingerprint)
 
         started = time.perf_counter()
@@ -479,7 +396,6 @@ class ConfigurationSession:
         timings.partition_ms = (started - ticked) * 1000.0
         aggregate = ConstraintStats(0, 0, 0, 0)
         entry = _Entry(graph, None, aggregate, [])
-        entry.partition = parts
         for component in parts.components:
             tick = time.perf_counter()
             formula, constraint_stats = generate_constraints(
@@ -638,9 +554,6 @@ class ConfigurationSession:
         graph, so configuring a smaller partial from scratch would
         renumber them.  Cold calls (no cached entry for ``partial``) run
         a full partitioned :meth:`configure` first.
-
-        In-process partitioned mode only -- worker-resident solvers
-        answer whole-fingerprint queries, not per-component ones.
         """
         wanted = set(instance_ids)
         if not wanted:
@@ -656,7 +569,7 @@ class ConfigurationSession:
         key = (True, fingerprint_partial(partial))
         entry = self._lookup(key)
         if entry is None:
-            self.configure(partial, partition=True, workers=None)
+            self.configure(partial, partition=True)
             entry = self._lookup(key)
             assert entry is not None  # configure() just stored it
         affected: list[_ComponentEntry] = []
@@ -734,208 +647,3 @@ class ConfigurationSession:
                     "on an unverified goal"
                 )
         return len(fresh)
-
-    # -- The parallel pipeline -------------------------------------------
-
-    def _configure_parallel(
-        self,
-        partial: PartialInstallSpec,
-        cache: SessionCacheInfo,
-        timings: PhaseTimings,
-        workers: int,
-    ) -> ConfigurationResult:
-        """Fan the components out across the session's worker pool.
-
-        The parent caches the graph, its partition, and one *decoded
-        outcome* per component; encodings and persistent incremental
-        solvers are worker-resident, keyed by the partial-spec
-        fingerprint (see :class:`repro.config.parallel.WorkerPool`).
-        Replies stream in as compact signed-literal arrays, decoded and
-        propagated parent-side while other components still solve; a
-        worker whose model repeats ships a bare ``MODEL_UNCHANGED``
-        header and the parent re-serves its decode cache -- the warm
-        path moves almost nothing over the pipe.  Phase timings stay
-        per-component sums (comparable to the serial pipelines) while
-        :attr:`~repro.config.engine.PhaseTimings.parallel_wall_ms`
-        records the actual fan-out wall time.
-        """
-        from repro.config.parallel import (
-            decode_component_model,
-            raise_component_error,
-        )
-
-        pool = self._ensure_pool(workers)
-        key = ("parallel", cache.fingerprint)
-        started = time.perf_counter()
-        entry = self._lookup(key)
-        if entry is not None:
-            cache.graph_hit = True
-            self.stats.graph_hits += 1
-        else:
-            graph = generate_graph(
-                self._registry, partial, peer_policy=self._peer_policy
-            )
-            self.stats.graph_misses += 1
-            ticked = time.perf_counter()
-            timings.graph_ms = (ticked - started) * 1000.0
-            entry = _Entry(graph, None, ConstraintStats(0, 0, 0, 0), [])
-            entry.partition = partition_graph(graph)
-            timings.partition_ms = (time.perf_counter() - ticked) * 1000.0
-            self._store(key, entry)
-        parts = entry.partition
-
-        components_by_index = {
-            component.index: component for component in parts.components
-        }
-        # Components the parent holds no decoded outcome for must ship
-        # a full model even if the worker believes it unchanged.
-        force = frozenset(
-            component.index for component in parts.components
-            if component.index not in entry.decoded
-        )
-
-        def materialize(outcome) -> None:
-            # Streamed parent-side decode -> propagate -> typecheck.
-            if outcome.model_unchanged:
-                (outcome.named_model, outcome.deployed, outcome.choices,
-                 outcome.instances) = entry.decoded[outcome.index]
-                return
-            component = components_by_index[outcome.index]
-            tick = time.perf_counter()
-            named, comp_deployed, comp_choices = decode_component_model(
-                component, outcome.model
-            )
-            decode_done = time.perf_counter()
-            spec = propagate(
-                self._registry, component.graph, comp_deployed, comp_choices
-            )
-            propagate_done = time.perf_counter()
-            if self._check_types:
-                check_spec(self._registry, spec)
-            outcome.named_model = named
-            outcome.deployed = frozenset(comp_deployed)
-            outcome.choices = comp_choices
-            outcome.instances = tuple(spec)
-            outcome.decode_ms = (decode_done - tick) * 1000.0
-            outcome.propagate_ms = (propagate_done - decode_done) * 1000.0
-            outcome.typecheck_ms = (
-                time.perf_counter() - propagate_done
-            ) * 1000.0
-            entry.decoded[outcome.index] = (
-                outcome.named_model, outcome.deployed, outcome.choices,
-                outcome.instances,
-            )
-
-        tick = time.perf_counter()
-        outcomes = pool.run_components(
-            parts.components, fingerprint=cache.fingerprint, keep=True,
-            force=force, on_outcome=materialize,
-        )
-        timings.parallel_wall_ms = (time.perf_counter() - tick) * 1000.0
-        # The CNF is "hit" when no worker had to (re-)encode a component.
-        cache.cnf_hit = cache.graph_hit and not any(
-            outcome.encoded for outcome in outcomes
-        )
-        if cache.cnf_hit:
-            self.stats.cnf_hits += 1
-        else:
-            self.stats.cnf_misses += 1
-
-        failure = next(
-            (o for o in outcomes if o.status != "sat"), None
-        )
-        if failure is not None:
-            if failure.status == "unsat":
-                timings.encode_ms += failure.encode_ms
-                timings.solve_ms += failure.solve_ms
-                # Diagnose in the parent so the Theorem 1 message is
-                # byte-identical to the serial one, whichever worker hit
-                # the conflict.
-                raise_unsatisfiable(
-                    self._registry, partial, entry.graph,
-                    explain=self._explain_unsat, partition=True,
-                )
-            raise_component_error(failure)
-
-        info = PartitionInfo(
-            partition_ms=timings.partition_ms, workers=pool.workers,
-            wire=pool.last_wire,
-        )
-        aggregate_solver = SolverStats(components=len(outcomes))
-        named_model: dict[str, bool] = {}
-        deployed: set[str] = set()
-        choices: dict[tuple[str, int], str] = {}
-        for outcome in outcomes:
-            named_model.update(outcome.named_model)
-            deployed |= outcome.deployed
-            choices.update(outcome.choices)
-            _accumulate_solver_stats(aggregate_solver, outcome.solver_stats)
-            if outcome.solver_reused:
-                self.stats.solver_reuses += 1
-            else:
-                self.stats.solver_builds += 1
-            timings.encode_ms += outcome.encode_ms
-            timings.solve_ms += outcome.solve_ms
-        cache.solver_reused = bool(outcomes) and all(
-            outcome.solver_reused for outcome in outcomes
-        )
-        if not entry.stats_ready:
-            for outcome in outcomes:
-                _accumulate_constraint_stats(
-                    entry.constraint_stats, outcome.constraint_stats
-                )
-            entry.stats_ready = True
-
-        ticked = time.perf_counter()
-        outcome_key = (frozenset(deployed), tuple(sorted(choices.items())))
-        instances = entry.verified_specs.get(outcome_key)
-        if instances is not None:
-            spec = InstallSpec(instances)
-            cache.typecheck_skipped = True
-            self.stats.typecheck_skips += 1
-        else:
-            spec = merge_component_specs(
-                [InstallSpec(outcome.instances) for outcome in outcomes]
-            )
-            entry.verified_specs[outcome_key] = tuple(spec)
-            self.stats.typecheck_runs += 1
-        merge_ms = (time.perf_counter() - ticked) * 1000.0
-        timings.decode_ms = sum(outcome.decode_ms for outcome in outcomes)
-        timings.propagate_ms = (
-            sum(outcome.propagate_ms for outcome in outcomes) + merge_ms
-        )
-        timings.typecheck_ms = sum(
-            outcome.typecheck_ms for outcome in outcomes
-        )
-
-        for outcome, component in zip(outcomes, parts.components):
-            info.components.append(
-                ComponentStats(
-                    index=component.index,
-                    nodes=len(component.graph),
-                    edges=len(component.graph.edges()),
-                    pinned=len(component.pinned),
-                    encode_ms=outcome.encode_ms,
-                    solve_ms=outcome.solve_ms,
-                    propagate_ms=outcome.propagate_ms,
-                    decisions=outcome.solver_stats.decisions,
-                    conflicts=outcome.solver_stats.conflicts,
-                    worker=outcome.worker,
-                    decode_ms=outcome.decode_ms,
-                    recv_ms=outcome.recv_ms,
-                    typecheck_ms=outcome.typecheck_ms,
-                )
-            )
-        emit_config_trace(self._tracer, timings, cache, partition=info)
-        return ConfigurationResult(
-            spec=spec,
-            graph=entry.graph,
-            formula=None,
-            model=named_model,
-            constraint_stats=entry.constraint_stats,
-            solver_stats=aggregate_solver,
-            deployed_ids=deployed,
-            timings=timings,
-            cache=cache,
-            partition=info,
-        )

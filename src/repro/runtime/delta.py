@@ -266,9 +266,13 @@ def plan_delta(
                     f"{new_spec[iid].machine_id(new_spec)}",
                 )
             )
-        else:
+        elif old_spec[iid].config != new_spec[iid].config:
             steps.append(
                 RepairStep(RepairOp.RECONFIGURE, iid, "config changed")
+            )
+        else:
+            steps.append(
+                RepairStep(RepairOp.RECONFIGURE, iid, "inputs changed")
             )
     for iid in sorted(added, key=lambda iid: new_order[iid]):
         reason = (

@@ -72,6 +72,13 @@ def diff_specs(old: InstallSpec, new: InstallSpec) -> SpecDiff:
             # key/config alone used to classify this "unchanged" and
             # leave the instance running on the old machine.
             diff.moved.append(instance_id)
+        elif before.inputs != after.inputs:
+            # Same key, config and host, but an upstream output moved
+            # (a database port, say): the instance must be reconfigured
+            # with the new inputs, not merely restarted on stale ones.
+            # Checked after ``moved`` because a relocated instance's
+            # inputs change too, and it must stay classed as moved.
+            diff.reconfigured.append(instance_id)
         else:
             diff.unchanged.append(instance_id)
     return diff

@@ -152,6 +152,72 @@ class TestConfigure:
         assert "--session" in output
 
 
+class TestConfigureStatsJson:
+    """``--stats-json`` records phase timings and per-component stats."""
+
+    @pytest.fixture
+    def fleet_file(self, tmp_path):
+        from repro.library.fleet import FleetTopology, fleet_spec_json
+
+        path = tmp_path / "fleet.json"
+        path.write_text(
+            fleet_spec_json(FleetTopology(replicas=6, machines=3)),
+            encoding="utf-8",
+        )
+        return str(path)
+
+    def test_stats_json_engine(self, fleet_file, tmp_path):
+        stats = tmp_path / "stats.json"
+        code, output = run([
+            "configure", fleet_file, "--partition",
+            "--stats-json", str(stats), "-o", str(tmp_path / "full.json"),
+        ])
+        assert code == 0
+        assert "partitioned: 3 components" in output
+        (run_stats,) = json.loads(stats.read_text())["runs"]
+        assert run_stats["instances"] > 0
+        timings = run_stats["timings"]
+        assert set(timings) == {
+            "graph_ms", "partition_ms", "encode_ms", "solve_ms",
+            "decode_ms", "propagate_ms", "typecheck_ms",
+        }
+        assert timings["solve_ms"] >= 0.0
+        partition = run_stats["partition"]
+        assert set(partition) == {
+            "count", "largest", "partition_ms", "components",
+        }
+        assert partition["count"] == 3
+        assert len(partition["components"]) == 3
+        for component in partition["components"]:
+            assert component["decode_ms"] >= 0.0
+            assert component["typecheck_ms"] >= 0.0
+
+    def test_stats_json_session_repeat(self, fleet_file, tmp_path):
+        stats = tmp_path / "stats.json"
+        code, output = run([
+            "configure", fleet_file, "--session", "--repeat", "2",
+            "--partition", "--stats-json", str(stats),
+        ])
+        assert code == 0
+        assert "3 components" in output
+        runs = json.loads(stats.read_text())["runs"]
+        assert len(runs) == 2
+        assert not runs[0]["cache"]["graph_hit"]
+        assert runs[1]["cache"]["graph_hit"]
+        assert runs[1]["cache"]["solver_reused"]
+
+    def test_stats_json_without_partition(self, fleet_file, tmp_path):
+        stats = tmp_path / "stats.json"
+        code, _ = run([
+            "configure", fleet_file,
+            "--stats-json", str(stats), "-o", str(tmp_path / "full.json"),
+        ])
+        assert code == 0
+        (run_stats,) = json.loads(stats.read_text())["runs"]
+        assert run_stats["partition"] is None
+        assert run_stats["constraint_stats"]["clauses"] > 0
+
+
 class TestGraph:
     def test_figure5(self, spec_file):
         code, output = run(["graph", spec_file])

@@ -399,6 +399,66 @@ class TestMovedInstances:
         assert running["beta"] == ["mysqld-db"]
 
 
+class TestChangedInputs:
+    """Regression: a dependent whose key, config and host are unchanged
+    but whose *inputs* moved (its database changed port) used to diff
+    as unchanged, so the delta only restarted it and it kept pointing
+    at the old port."""
+
+    TOPOLOGY = FleetTopology(
+        replicas=2, machines=1, stacks=("openmrs", "jasper")
+    )
+
+    def moved_db_ports(self):
+        entries = fleet_spec_entries(self.TOPOLOGY)
+        for entry in entries:
+            if entry.id.startswith("db"):
+                entry.config["port"] += 1000
+        return PartialInstallSpec(entries)
+
+    @staticmethod
+    def connection_properties(system):
+        (machine,) = set(system.machines.values())
+        return {
+            path: machine.fs.read_file(path)
+            for path in machine.fs.walk_files()
+            if path.endswith("/WEB-INF/connection.properties")
+        }
+
+    def test_moved_db_port_reconfigures_its_dependents(self):
+        engine, infrastructure, system, old_spec = build(
+            fleet_partial(self.TOPOLOGY)
+        )
+        new_partial = self.moved_db_ports()
+        new_spec = configure(new_partial)
+        diff = diff_specs(old_spec, new_spec)
+        assert {"db000", "db001", "openmrs000", "jasper001"} <= set(
+            diff.reconfigured
+        )
+        assert not {"openmrs000", "jasper001"} & set(diff.unchanged)
+
+        delta = plan_delta(system, new_spec)
+        steps = {step.instance_id: step for step in delta.plan.steps}
+        for iid in ("openmrs000", "jasper001"):
+            assert steps[iid].op is RepairOp.RECONFIGURE
+            assert steps[iid].reason == "inputs changed"
+        assert steps["db000"].reason == "config changed"
+
+        before = self.connection_properties(system)
+        assert len(before) == 2
+        assert all(":13306/" in text or ":13307/" in text
+                   for text in before.values())
+        result = execute_delta(engine, system, delta)
+        assert result.system.is_deployed()
+        after = self.connection_properties(result.system)
+        assert sorted(after) == sorted(before)
+        for path, text in after.items():
+            assert ":14306/" in text or ":14307/" in text, (path, text)
+        assert live_fingerprint(
+            result.system, infrastructure
+        ) == fresh_fingerprint(new_partial)
+
+
 class TestRollbackGhostHosts:
     """Regression: machines first registered by a failed new-spec
     deploy survived rollback as ghost hosts on the network."""

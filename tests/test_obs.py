@@ -256,6 +256,25 @@ class TestDeployTracing:
         assert tracer.metrics.counter("monitor.restarts").value == 1
 
 
+class TestConfigTracing:
+    def test_serial_component_spans_have_no_worker_arg(self):
+        from repro.library.fleet import FleetTopology, fleet_partial
+
+        tracer = Tracer()
+        ConfigurationEngine(
+            standard_registry(), partition=True, tracer=tracer
+        ).configure(fleet_partial(FleetTopology(replicas=6, machines=3)))
+        spans = [
+            span for span in tracer.spans(category="config")
+            if span.name.startswith("configure:component[")
+        ]
+        assert spans
+        for span in spans:
+            assert "worker" not in span.args
+            assert span.args["component"] >= 0
+            assert span.args["nodes"] > 0
+
+
 class TestCoordinatorTracing:
     def test_wave_and_slave_spans(self):
         from repro.runtime.coordinator import MasterCoordinator
