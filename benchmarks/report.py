@@ -26,12 +26,7 @@ import pathlib
 import sys
 import time
 
-from repro.config import (
-    ConfigurationEngine,
-    ConfigurationSession,
-    generate_constraints,
-    generate_graph,
-)
+from repro.config import ConfigurationEngine, ConfigurationSession
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.django import (
     SimDatabase,
@@ -57,7 +52,6 @@ from repro.runtime import (
     UpgradeEngine,
     provision_partial_spec,
 )
-from repro.sat import CdclSolver
 
 
 def header(experiment: str, title: str) -> None:

@@ -36,7 +36,6 @@ from repro.dsl import (
     line_count,
     load_resources,
     partial_from_json,
-    partial_to_json,
 )
 from repro.library import (
     ensure_artifact,

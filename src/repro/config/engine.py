@@ -6,9 +6,19 @@ hypergraph (``GraphGen``) -> Boolean constraints (``Generate``) -> SAT
 specification.  Theorem 1 justifies raising
 :class:`~repro.core.errors.UnsatisfiableError` when the solver says no.
 
+There is one pipeline, in two halves.  :meth:`ConfigurationEngine._build`
+runs GraphGen and encodes the graph as *units* -- the whole graph, or
+with ``partition=True`` each of its connected components
+(:mod:`repro.config.partition`) -- with the pinned-instance facts as
+solver assumptions.  :meth:`ConfigurationEngine._run` solves each unit,
+decodes its canonical model, propagates and typechecks, and merges the
+unit specs.  :meth:`ConfigurationEngine.configure` is build + run with
+nothing kept; :class:`~repro.config.session.ConfigurationSession` keeps
+the built entries and their solvers, so a warm call only runs.
+
 Every result carries :class:`PhaseTimings` so callers (benchmarks, the
-CLI, :class:`~repro.config.session.ConfigurationSession`) can see where
-a query spent its time without re-instrumenting the pipeline.
+CLI, sessions) can see where a query spent its time without
+re-instrumenting the pipeline.
 """
 
 from __future__ import annotations
@@ -23,12 +33,14 @@ from repro.core.registry import ResourceTypeRegistry
 from repro.core.wellformed import assert_well_formed
 from repro.config.constraints import (
     ConstraintStats,
+    fact_literals,
     generate_constraints,
     selected_nodes,
 )
 from repro.config.hypergraph import ResourceGraph, generate_graph
 from repro.config.partition import (
     ComponentStats,
+    GraphComponent,
     PartitionInfo,
     merge_component_specs,
     partition_graph,
@@ -37,7 +49,7 @@ from repro.config.propagation import propagate
 from repro.config.typecheck import check_spec
 from repro.sat.cnf import CnfFormula
 from repro.sat.encodings import ExactlyOneEncoding
-from repro.sat.solver import CdclSolver, DpllSolver, SolverStats
+from repro.sat.solver import CdclSolver, SolverStats
 
 
 @dataclass
@@ -83,7 +95,8 @@ class ConfigurationResult:
 
     spec: InstallSpec
     graph: ResourceGraph
-    #: The monolithic CNF encoding; None on the partitioned path, which
+    #: The monolithic CNF encoding (pinned-instance facts are solver
+    #: assumptions, not clauses); None on the partitioned path, which
     #: builds one formula per component instead (their aggregated sizes
     #: are in :attr:`constraint_stats` and match the monolithic ones).
     formula: Optional[CnfFormula]
@@ -94,7 +107,7 @@ class ConfigurationResult:
     timings: PhaseTimings = field(default_factory=PhaseTimings)
     #: Cache outcome when the result came from a session; None otherwise.
     cache: Optional[SessionCacheInfo] = None
-    #: Component sizes/timings when the partitioned pipeline ran.
+    #: Component sizes/timings on a partitioned run; None otherwise.
     partition: Optional[PartitionInfo] = None
 
 
@@ -227,16 +240,75 @@ def _emit_component_spans(tracer, partition, start) -> float:
     return component_start
 
 
+class _Unit:
+    """One independently solved piece of a configured graph: the whole
+    graph, or one connected component of it."""
+
+    __slots__ = (
+        "graph", "component", "formula", "assumptions", "encode_ms",
+        "solver", "canonical",
+    )
+
+    def __init__(
+        self,
+        graph: ResourceGraph,
+        component: Optional[GraphComponent],
+        formula: CnfFormula,
+        assumptions: list[int],
+        encode_ms: float,
+    ) -> None:
+        self.graph = graph
+        #: The partition's component record; None for a whole-graph unit.
+        self.component = component
+        self.formula = formula
+        self.assumptions = assumptions
+        #: One-time encoding cost, reported on the building call only.
+        self.encode_ms = encode_ms
+        #: Built on first solve and kept, so a cached unit re-solves
+        #: incrementally (its stats are cumulative across calls).
+        self.solver: Optional[CdclSolver] = None
+        #: The deterministic-order model, kept once the solver has
+        #: conflicted (the assumptions are fixed per unit, so the
+        #: canonical model never changes).
+        self.canonical: Optional[dict[int, bool]] = None
+
+
+class _Entry:
+    """A generated graph and its encoded units: what one configure needs
+    before solving, and what a session caches per key."""
+
+    __slots__ = (
+        "graph", "partitioned", "units", "constraint_stats",
+        "verified_specs",
+    )
+
+    def __init__(self, graph: ResourceGraph, partitioned: bool) -> None:
+        self.graph = graph
+        self.partitioned = partitioned
+        self.units: list[_Unit] = []
+        #: Summed over units; the encoding is edge-local, so the sums
+        #: equal the whole-graph formula's sizes exactly.
+        self.constraint_stats = ConstraintStats(0, 0, 0, 0)
+        #: (deployed, choices) outcome -> the propagated (and, when
+        #: enabled, typechecked) instances, in topological order; used
+        #: by session configure calls only.  The instances are frozen
+        #: dataclasses, so reuse is safe; only the InstallSpec container
+        #: is rebuilt per call.
+        self.verified_specs: dict[tuple, tuple] = {}
+
+
 class ConfigurationEngine:
     """Expands partial installation specifications to full ones.
 
-    With ``partition=True`` the pipeline splits the hypergraph into
-    connected components after GraphGen and encodes/solves/propagates
-    each component independently (:mod:`repro.config.partition`); the
-    resulting specification is bit-identical to the monolithic one.
-    ``configure(..., partition=...)`` overrides the mode per call.
-    Every stage runs in the calling process (see docs/INTERNALS.md,
-    "Partitioned configuration", for why there is no process pool).
+    Every call is cold: nothing is kept between calls.
+    :class:`~repro.config.session.ConfigurationSession` is the cached
+    front end over the same pipeline.  With ``partition=True`` the
+    pipeline splits the hypergraph into connected components after
+    GraphGen and solves/propagates each one independently
+    (:mod:`repro.config.partition`); the resulting specification is
+    bit-identical to the monolithic one.  Every stage runs in the
+    calling process (see docs/INTERNALS.md, "Partitioned
+    configuration", for why there is no process pool).
     """
 
     def __init__(
@@ -244,7 +316,6 @@ class ConfigurationEngine:
         registry: ResourceTypeRegistry,
         *,
         encoding: ExactlyOneEncoding = ExactlyOneEncoding.PAIRWISE,
-        solver: str = "cdcl",
         check_types: bool = True,
         verify_registry: bool = True,
         explain_unsat: bool = True,
@@ -252,15 +323,10 @@ class ConfigurationEngine:
         partition: bool = False,
         tracer=None,
     ) -> None:
-        if partition and solver == "dpll":
-            raise ConfigurationError(
-                "partitioned solving requires the cdcl solver (the DPLL "
-                "ablation baseline has no canonical decomposition)"
-            )
         self._registry = registry
         self._encoding = encoding
-        self._solver = solver
         self._check_types = check_types
+        self._verify_registry = verify_registry
         self._explain_unsat = explain_unsat
         self._peer_policy = peer_policy
         self._partition = partition
@@ -274,199 +340,209 @@ class ConfigurationEngine:
     def registry(self) -> ResourceTypeRegistry:
         return self._registry
 
-    def configure(
-        self,
-        partial: PartialInstallSpec,
-        *,
-        partition: Optional[bool] = None,
-    ) -> ConfigurationResult:
+    def configure(self, partial: PartialInstallSpec) -> ConfigurationResult:
         """Compute a full installation specification extending ``partial``.
 
         Raises :class:`UnsatisfiableError` when no extension exists
         (Theorem 1), and surfaces any propagation or typechecking error.
-        ``partition`` overrides the engine's configured mode for this
-        call.
         """
-        use_partition = self._partition if partition is None else partition
-        if use_partition:
-            if self._solver == "dpll":
-                raise ConfigurationError(
-                    "partitioned solving requires the cdcl solver (the "
-                    "DPLL ablation baseline has no canonical "
-                    "decomposition)"
-                )
-            return self._configure_partitioned(partial)
         timings = PhaseTimings()
+        entry = self._build(partial, self._partition, timings)
+        result = self._run(partial, entry, entry.units, timings)
+        emit_config_trace(self._tracer, timings, partition=result.partition)
+        return result
+
+    # -- The pipeline ---------------------------------------------------
+
+    def _build(
+        self,
+        partial: PartialInstallSpec,
+        partitioned: bool,
+        timings: PhaseTimings,
+    ) -> _Entry:
+        """GraphGen, then encode each unit once (the first half)."""
         started = time.perf_counter()
         graph = generate_graph(
             self._registry, partial, peer_policy=self._peer_policy
         )
         ticked = time.perf_counter()
         timings.graph_ms = (ticked - started) * 1000.0
-        formula, constraint_stats = generate_constraints(graph, self._encoding)
-        started = time.perf_counter()
-        timings.encode_ms = (started - ticked) * 1000.0
-
-        engine: CdclSolver | DpllSolver
-        if self._solver == "dpll":
-            engine = DpllSolver(formula)
+        pieces: list[tuple[ResourceGraph, Optional[GraphComponent]]]
+        if partitioned:
+            pieces = [
+                (component.graph, component)
+                for component in partition_graph(graph).components
+            ]
+            timings.partition_ms = (time.perf_counter() - ticked) * 1000.0
         else:
-            engine = CdclSolver(formula)
-        solved = engine.solve()
-        if not solved:
-            timings.solve_ms = (time.perf_counter() - started) * 1000.0
-            raise_unsatisfiable(
-                self._registry, partial, graph, explain=self._explain_unsat
+            pieces = [(graph, None)]
+        entry = _Entry(graph, partitioned)
+        for unit_graph, component in pieces:
+            tick = time.perf_counter()
+            formula, constraint_stats = generate_constraints(
+                unit_graph, self._encoding, facts_as_assumptions=True
             )
-        if isinstance(engine, CdclSolver):
-            model = canonical_model(formula, engine)
-        else:
-            # The DPLL ablation keeps its own (True-first) model; it is
-            # never compared bit-for-bit against the partitioned path.
-            model = engine.model()
-        ticked = time.perf_counter()
-        timings.solve_ms = (ticked - started) * 1000.0
-        named_model = {
-            str(name): value
-            for name, value in formula.decode_model(model).items()
-        }
-        deployed, choices = selected_nodes(graph, named_model)
-        started = time.perf_counter()
-        timings.decode_ms = (started - ticked) * 1000.0
-        spec = propagate(self._registry, graph, deployed, choices)
-        ticked = time.perf_counter()
-        timings.propagate_ms = (ticked - started) * 1000.0
-        if self._check_types:
-            check_spec(self._registry, spec)
-            timings.typecheck_ms = (time.perf_counter() - ticked) * 1000.0
-        emit_config_trace(self._tracer, timings)
-        return ConfigurationResult(
-            spec=spec,
-            graph=graph,
-            formula=formula,
-            model=named_model,
-            constraint_stats=constraint_stats,
-            solver_stats=engine.stats,
-            deployed_ids=deployed,
-            timings=timings,
-        )
+            assumptions = sorted(fact_literals(unit_graph, formula).values())
+            encode_ms = (time.perf_counter() - tick) * 1000.0
+            entry.units.append(
+                _Unit(unit_graph, component, formula, assumptions, encode_ms)
+            )
+            _accumulate_constraint_stats(
+                entry.constraint_stats, constraint_stats
+            )
+            timings.encode_ms += encode_ms
+        return entry
 
-    def _configure_partitioned(
-        self, partial: PartialInstallSpec
+    def _run(
+        self,
+        partial: PartialInstallSpec,
+        entry: _Entry,
+        units: list[_Unit],
+        timings: PhaseTimings,
+        cache: Optional[SessionCacheInfo] = None,
+        stats=None,
     ) -> ConfigurationResult:
-        """The component-partitioned pipeline (bit-identical results)."""
-        timings = PhaseTimings()
-        started = time.perf_counter()
-        graph = generate_graph(
-            self._registry, partial, peer_policy=self._peer_policy
-        )
-        ticked = time.perf_counter()
-        timings.graph_ms = (ticked - started) * 1000.0
-        parts = partition_graph(graph)
-        started = time.perf_counter()
-        timings.partition_ms = (started - ticked) * 1000.0
-        info = PartitionInfo(partition_ms=timings.partition_ms)
+        """Solve, decode, propagate and typecheck ``units`` of ``entry``,
+        then merge their specs (the second half).
 
-        aggregate_constraints = ConstraintStats(0, 0, 0, 0)
-        aggregate_solver = SolverStats(components=len(parts.components))
+        Each unit's solver is built on first use and kept on the unit.
+        With a ``cache`` (a session's configure call) the decoded
+        outcome is first looked up in the entry's verified-spec memo;
+        ``stats`` (a session's :class:`SessionStats`) counts solver
+        builds/reuses and typecheck runs/skips.
+        """
         named_model: dict[str, bool] = {}
         deployed: set[str] = set()
         choices: dict[tuple[str, int], str] = {}
-        specs: list[InstallSpec] = []
-
-        for component in parts.components:
+        outcomes: list[tuple[set[str], dict[tuple[str, int], str]]] = []
+        solve_ms: list[float] = []
+        decode_ms: list[float] = []
+        for unit in units:
             tick = time.perf_counter()
-            formula, constraint_stats = generate_constraints(
-                component.graph, self._encoding
-            )
-            encode_done = time.perf_counter()
-            solver = CdclSolver(formula)
-            if not solver.solve():
-                timings.encode_ms += (encode_done - tick) * 1000.0
-                timings.solve_ms += (time.perf_counter() - encode_done) * 1000.0
+            solver = unit.solver
+            if solver is None:
+                solver = unit.solver = CdclSolver(unit.formula)
+                if stats is not None:
+                    stats.solver_builds += 1
+            else:
+                if cache is not None:
+                    cache.solver_reused = True
+                if stats is not None:
+                    stats.solver_reuses += 1
+            if not solver.solve(unit.assumptions):
                 raise_unsatisfiable(
-                    self._registry, partial, graph,
-                    explain=self._explain_unsat, partition=True,
+                    self._registry, partial, entry.graph,
+                    explain=self._explain_unsat,
+                    partition=entry.partitioned,
                 )
-            model = canonical_model(formula, solver)
+            model = unit.canonical
+            if model is None:
+                model = canonical_model(
+                    unit.formula, solver, unit.assumptions
+                )
+                if solver.stats.conflicts:
+                    unit.canonical = model
             solve_done = time.perf_counter()
             named = {
                 str(name): value
-                for name, value in formula.decode_model(model).items()
+                for name, value in unit.formula.decode_model(model).items()
             }
-            component_deployed, component_choices = selected_nodes(
-                component.graph, named
-            )
+            unit_deployed, unit_choices = selected_nodes(unit.graph, named)
             decode_done = time.perf_counter()
-            spec = propagate(
-                self._registry, component.graph,
-                component_deployed, component_choices,
-            )
-            propagate_done = time.perf_counter()
-            if self._check_types:
-                check_spec(self._registry, spec)
-            typecheck_done = time.perf_counter()
-
             named_model.update(named)
-            deployed |= component_deployed
-            choices.update(component_choices)
-            specs.append(spec)
-            _accumulate_constraint_stats(
-                aggregate_constraints, constraint_stats
-            )
-            _accumulate_solver_stats(aggregate_solver, solver.stats)
-            stats = ComponentStats(
-                index=component.index,
-                nodes=len(component.graph),
-                edges=len(component.graph.edges()),
-                pinned=len(component.pinned),
-                encode_ms=(encode_done - tick) * 1000.0,
-                solve_ms=(solve_done - encode_done) * 1000.0,
-                decode_ms=(decode_done - solve_done) * 1000.0,
-                propagate_ms=(propagate_done - decode_done) * 1000.0,
-                typecheck_ms=(typecheck_done - propagate_done) * 1000.0,
-                decisions=solver.stats.decisions,
-                conflicts=solver.stats.conflicts,
-            )
-            info.components.append(stats)
-            _accumulate_component_timings(timings, stats)
+            deployed |= unit_deployed
+            choices.update(unit_choices)
+            outcomes.append((unit_deployed, unit_choices))
+            solve_ms.append((solve_done - tick) * 1000.0)
+            decode_ms.append((decode_done - solve_done) * 1000.0)
+            timings.solve_ms += solve_ms[-1]
+            timings.decode_ms += decode_ms[-1]
 
-        tick = time.perf_counter()
-        spec = merge_component_specs(specs)
-        timings.propagate_ms += (time.perf_counter() - tick) * 1000.0
-        emit_config_trace(self._tracer, timings, partition=info)
-        return ConfigurationResult(
-            spec=spec,
-            graph=graph,
-            formula=None,
-            model=named_model,
-            constraint_stats=aggregate_constraints,
-            solver_stats=aggregate_solver,
-            deployed_ids=deployed,
-            timings=timings,
-            partition=info,
+        started = time.perf_counter()
+        propagate_ms = [0.0] * len(units)
+        typecheck_ms = [0.0] * len(units)
+        key = instances = None
+        if cache is not None:
+            key = (frozenset(deployed), tuple(sorted(choices.items())))
+            instances = entry.verified_specs.get(key)
+        if instances is not None:
+            spec = InstallSpec(instances)
+            cache.typecheck_skipped = True
+            stats.typecheck_skips += 1
+        else:
+            specs: list[InstallSpec] = []
+            for index, unit in enumerate(units):
+                tick = time.perf_counter()
+                unit_spec = propagate(
+                    self._registry, unit.graph, *outcomes[index]
+                )
+                propagate_done = time.perf_counter()
+                if self._check_types:
+                    check_spec(self._registry, unit_spec)
+                specs.append(unit_spec)
+                propagate_ms[index] = (propagate_done - tick) * 1000.0
+                typecheck_ms[index] = (
+                    time.perf_counter() - propagate_done
+                ) * 1000.0
+            # A one-unit run has nothing to merge.
+            spec = (
+                specs[0] if len(specs) == 1
+                else merge_component_specs(specs)
+            )
+            if key is not None:
+                entry.verified_specs[key] = tuple(spec)
+            if stats is not None:
+                stats.typecheck_runs += 1
+        timings.typecheck_ms = sum(typecheck_ms)
+        timings.propagate_ms = (
+            (time.perf_counter() - started) * 1000.0 - timings.typecheck_ms
         )
 
-
-def _accumulate_component_timings(
-    timings: PhaseTimings, component: ComponentStats
-) -> None:
-    """Add one component's per-phase times to the run's totals."""
-    timings.encode_ms += component.encode_ms
-    timings.solve_ms += component.solve_ms
-    timings.decode_ms += component.decode_ms
-    timings.propagate_ms += component.propagate_ms
-    timings.typecheck_ms += component.typecheck_ms
+        info: Optional[PartitionInfo] = None
+        if entry.partitioned:
+            info = PartitionInfo(partition_ms=timings.partition_ms)
+            solver_stats = SolverStats(components=len(units))
+            encoded = cache is None or not cache.cnf_hit
+            for index, unit in enumerate(units):
+                unit_stats = unit.solver.stats
+                info.components.append(
+                    ComponentStats(
+                        index=unit.component.index,
+                        nodes=len(unit.graph),
+                        edges=len(unit.graph.edges()),
+                        pinned=len(unit.component.pinned),
+                        encode_ms=unit.encode_ms if encoded else 0.0,
+                        solve_ms=solve_ms[index],
+                        propagate_ms=propagate_ms[index],
+                        decisions=unit_stats.decisions,
+                        conflicts=unit_stats.conflicts,
+                        decode_ms=decode_ms[index],
+                        typecheck_ms=typecheck_ms[index],
+                    )
+                )
+                _accumulate_solver_stats(solver_stats, unit_stats)
+            formula = None
+        else:
+            (unit,) = units
+            solver_stats = unit.solver.stats
+            formula = unit.formula
+        return ConfigurationResult(
+            spec=spec,
+            graph=entry.graph,
+            formula=formula,
+            model=named_model,
+            constraint_stats=entry.constraint_stats,
+            solver_stats=solver_stats,
+            deployed_ids=deployed,
+            timings=timings,
+            cache=cache,
+            partition=info,
+        )
 
 
 def _accumulate_constraint_stats(
     total: ConstraintStats, part: ConstraintStats
 ) -> None:
-    """Sum per-component encoding sizes.
-
-    The encoding is edge-local, so the sums equal the monolithic
-    formula's sizes exactly.
-    """
     total.variables += part.variables
     total.clauses += part.clauses
     total.facts += part.facts

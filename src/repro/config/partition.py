@@ -11,9 +11,11 @@ service.
 
 Because the CNF encoding is purely edge-local (§4), the monolithic
 formula is exactly the conjunction of the per-component formulas, and a
-partial specification is satisfiable iff every component is.  The
-partitioned pipeline therefore encodes, solves, decodes, propagates and
-typechecks each component independently and merges the results:
+partial specification is satisfiable iff every component is.  A
+partitioned configure therefore makes each component its own unit of
+the one pipeline (:mod:`repro.config.engine`): it encodes, solves,
+decodes, propagates and typechecks each independently and merges the
+results:
 
 * the merged model/deployed-set/choices equal the monolithic ones
   (canonical decoding -- see :func:`repro.config.engine.canonical_model`
@@ -56,7 +58,7 @@ class ComponentStats:
 
 @dataclass
 class PartitionInfo:
-    """What the partitioned pipeline did, attached to results."""
+    """What a partitioned configure did, attached to results."""
 
     components: list[ComponentStats] = field(default_factory=list)
     partition_ms: float = 0.0

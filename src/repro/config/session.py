@@ -4,22 +4,22 @@ The paper's §6.2 evaluation -- and any deployment manager serving
 repeated traffic -- runs *families* of near-identical configuration
 queries against one fixed resource library: re-planning a deployment,
 sweeping a configuration space, answering the same request for many
-tenants.  :class:`ConfigurationEngine` treats every call as cold; this
-module amortizes all per-query work that does not depend on fresh
-input:
+tenants.  :class:`ConfigurationEngine` treats every call as cold; a
+session runs the same pipeline (:mod:`repro.config.engine`) but keeps
+what the first half of it builds:
 
 * registry **well-formedness** is verified once and memoized on the
   registry (invalidated when a type is registered);
-* **hypergraph generation** is memoized per canonical structural
-  fingerprint of the partial specification
-  (:mod:`repro.config.fingerprint`);
-* the **CNF encoding** is cached at the same key, with the family-1
-  facts expressed as *assumption literals* rather than unit clauses, so
-  the clause database encodes only graph structure;
+* the **hypergraph and its CNF encoding** are cached per canonical
+  structural fingerprint of the partial specification
+  (:mod:`repro.config.fingerprint`); the family-1 facts are
+  *assumption literals* rather than unit clauses, so the clause
+  database encodes only graph structure;
 * one **persistent incremental** :class:`~repro.sat.solver.CdclSolver`
-  per cached entry answers every solve: learned clauses, VSIDS
-  activities, and saved phases survive across calls, and each query is
-  just a new assumption vector over the shared clause database;
+  per cached unit (the whole graph, or one component) answers every
+  solve: learned clauses, VSIDS activities, and saved phases survive
+  across calls, and each query is just the unit's assumption vector
+  over the shared clause database;
 * the **propagated specification** is memoized per decoded outcome -- a
   warm call that reproduces an already-verified (deployed, choices) pair
   reuses the frozen :class:`~repro.core.instances.ResourceInstance`
@@ -35,44 +35,34 @@ specifications and deployed ids, with cache/timing metadata attached.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
+from repro.core.errors import ConfigurationError
 from repro.core.instances import InstallSpec, PartialInstallSpec
 from repro.core.registry import ResourceTypeRegistry
 from repro.core.wellformed import assert_well_formed
-from repro.config.constraints import (
-    ConstraintStats,
-    fact_literals,
-    generate_constraints,
-    selected_nodes,
-)
-from repro.core.errors import ConfigurationError
 from repro.config.engine import (
+    ConfigurationEngine,
     ConfigurationResult,
     PhaseTimings,
     SessionCacheInfo,
-    _accumulate_constraint_stats,
-    _accumulate_solver_stats,
-    canonical_model,
+    _Entry,
     emit_config_trace,
-    raise_unsatisfiable,
 )
 from repro.config.fingerprint import fingerprint_partial
-from repro.config.hypergraph import ResourceGraph, generate_graph
-from repro.config.partition import (
-    ComponentStats,
-    GraphComponent,
-    PartitionInfo,
+from repro.sat.encodings import ExactlyOneEncoding
+
+# The pipeline's stage functions, bound here too so per-module probes
+# (``perfbench/probes.py``) resolve the same names in both modules.
+from repro.config.constraints import generate_constraints  # noqa: F401
+from repro.config.hypergraph import generate_graph  # noqa: F401
+from repro.config.partition import (  # noqa: F401
     merge_component_specs,
     partition_graph,
 )
-from repro.config.propagation import propagate
-from repro.config.typecheck import check_spec
-from repro.sat.cnf import CnfFormula
-from repro.sat.encodings import ExactlyOneEncoding
-from repro.sat.solver import CdclSolver, DpllSolver, SolverStats
+from repro.config.propagation import propagate  # noqa: F401
+from repro.config.typecheck import check_spec  # noqa: F401
 
 
 @dataclass
@@ -97,67 +87,7 @@ class SessionStats:
         return self.graph_hits / total if total else 0.0
 
 
-class _Entry:
-    """Everything cached for one (mode, partial-spec fingerprint) key."""
-
-    __slots__ = (
-        "graph", "formula", "constraint_stats", "assumptions", "solver",
-        "canonical", "verified_specs", "components",
-    )
-
-    def __init__(
-        self,
-        graph: ResourceGraph,
-        formula: Optional[CnfFormula],
-        constraint_stats: ConstraintStats,
-        assumptions: list[int],
-    ) -> None:
-        self.graph = graph
-        self.formula = formula
-        self.constraint_stats = constraint_stats
-        self.assumptions = assumptions
-        self.solver: Optional[CdclSolver] = None
-        #: The deterministic-order model, computed once if this entry's
-        #: solver ever conflicted (the assumptions are fixed per entry,
-        #: so the canonical model never changes).
-        self.canonical: Optional[dict[int, bool]] = None
-        #: (deployed, choices) outcome -> the propagated (and, when
-        #: enabled, typechecked) instances, in topological order.  The
-        #: instances are frozen dataclasses, so reuse is safe; only the
-        #: InstallSpec container is rebuilt per call.
-        self.verified_specs: dict[tuple, tuple] = {}
-        #: Partitioned-mode state: one :class:`_ComponentEntry` per
-        #: component of ``graph`` ([] for monolithic entries).
-        self.components: list[_ComponentEntry] = []
-
-
-class _ComponentEntry:
-    """Cached encoding + persistent solver for one graph component."""
-
-    __slots__ = (
-        "component", "formula", "constraint_stats", "assumptions",
-        "solver", "canonical", "encode_ms",
-    )
-
-    def __init__(
-        self,
-        component: GraphComponent,
-        formula: CnfFormula,
-        constraint_stats: ConstraintStats,
-        assumptions: list[int],
-        encode_ms: float,
-    ) -> None:
-        self.component = component
-        self.formula = formula
-        self.constraint_stats = constraint_stats
-        self.assumptions = assumptions
-        #: One-time encoding cost, reported on the miss call only.
-        self.encode_ms = encode_ms
-        self.solver: Optional[CdclSolver] = None
-        self.canonical: Optional[dict[int, bool]] = None
-
-
-class ConfigurationSession:
+class ConfigurationSession(ConfigurationEngine):
     """A long-lived, cache-backed front end to the configuration engine.
 
     Accepts the same options as :class:`ConfigurationEngine` and
@@ -172,7 +102,6 @@ class ConfigurationSession:
         registry: ResourceTypeRegistry,
         *,
         encoding: ExactlyOneEncoding = ExactlyOneEncoding.PAIRWISE,
-        solver: str = "cdcl",
         check_types: bool = True,
         verify_registry: bool = True,
         explain_unsat: bool = True,
@@ -183,34 +112,19 @@ class ConfigurationSession:
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
-        if partition and solver == "dpll":
-            raise ConfigurationError(
-                "partitioned solving requires the cdcl solver (the DPLL "
-                "ablation baseline has no canonical decomposition)"
-            )
-        self._registry = registry
-        self._encoding = encoding
-        self._solver = solver
-        self._check_types = check_types
-        self._verify_registry = verify_registry
-        self._explain_unsat = explain_unsat
-        self._peer_policy = peer_policy
-        self._partition = partition
+        super().__init__(
+            registry, encoding=encoding, check_types=check_types,
+            verify_registry=verify_registry, explain_unsat=explain_unsat,
+            peer_policy=peer_policy, partition=partition, tracer=tracer,
+        )
         self._max_entries = max_entries
-        self._tracer = tracer
         #: Keyed by (partitioned, fingerprint): the two modes cache
-        #: different artifacts (one formula and solver, or one per
-        #: component), so a mode flip must never serve the other mode's
-        #: entry.
+        #: different units (the whole graph, or one per component), so
+        #: the monolithic entry of a spec never serves a partitioned
+        #: lookup of it, or the reverse.
         self._entries: dict[tuple, _Entry] = {}
         self.stats = SessionStats()
-        if verify_registry:
-            assert_well_formed(registry)
         self._registry_version = registry.version
-
-    @property
-    def registry(self) -> ResourceTypeRegistry:
-        return self._registry
 
     def __len__(self) -> int:
         """Number of cached partial-spec structures."""
@@ -219,8 +133,6 @@ class ConfigurationSession:
     def flush(self) -> None:
         """Drop every cached graph, formula, and solver."""
         self._entries.clear()
-
-    # -- Cache plumbing -------------------------------------------------
 
     def _revalidate(self) -> None:
         """Flush if the registry changed since the caches were built."""
@@ -232,310 +144,49 @@ class ConfigurationSession:
             assert_well_formed(self._registry)
         self._registry_version = self._registry.version
 
-    def _lookup(self, key: tuple) -> Optional[_Entry]:
+    def _entry(
+        self,
+        partial: PartialInstallSpec,
+        partitioned: bool,
+        cache: SessionCacheInfo,
+        timings: PhaseTimings,
+    ) -> _Entry:
+        """The cached entry for ``partial`` in the given mode, built on
+        a miss (least recently used entries are evicted)."""
+        key = (partitioned, cache.fingerprint)
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._entries[key] = entry  # re-insert: LRU refresh
-        return entry
-
-    def _store(self, key: tuple, entry: _Entry) -> None:
+            cache.graph_hit = cache.cnf_hit = True
+            self.stats.graph_hits += 1
+            self.stats.cnf_hits += 1
+            return entry
+        entry = self._build(partial, partitioned, timings)
+        self.stats.graph_misses += 1
+        self.stats.cnf_misses += 1
         self._entries[key] = entry
         if len(self._entries) > self._max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
+            del self._entries[next(iter(self._entries))]
             self.stats.evictions += 1
+        return entry
 
-    # -- The pipeline ---------------------------------------------------
-
-    def configure(
-        self,
-        partial: PartialInstallSpec,
-        *,
-        partition: Optional[bool] = None,
-    ) -> ConfigurationResult:
+    def configure(self, partial: PartialInstallSpec) -> ConfigurationResult:
         """Expand ``partial``, reusing every cache the session holds.
 
         Semantics match :meth:`ConfigurationEngine.configure`, including
         :class:`~repro.core.errors.UnsatisfiableError` on Theorem 1
-        failures.  ``partition`` overrides the session's configured mode
-        for this call; the two modes never share cache entries.
+        failures.
         """
-        use_partition = self._partition if partition is None else partition
-        if use_partition and self._solver == "dpll":
-            raise ConfigurationError(
-                "partitioned solving requires the cdcl solver (the DPLL "
-                "ablation baseline has no canonical decomposition)"
-            )
         self._revalidate()
         self.stats.configure_calls += 1
         timings = PhaseTimings()
         cache = SessionCacheInfo(fingerprint=fingerprint_partial(partial))
-        key = (use_partition, cache.fingerprint)
-
-        started = time.perf_counter()
-        entry = self._lookup(key)
-        if entry is not None:
-            cache.graph_hit = True
-            cache.cnf_hit = True
-            self.stats.graph_hits += 1
-            self.stats.cnf_hits += 1
-        else:
-            graph = generate_graph(
-                self._registry, partial, peer_policy=self._peer_policy
-            )
-            self.stats.graph_misses += 1
-            ticked = time.perf_counter()
-            timings.graph_ms = (ticked - started) * 1000.0
-            if use_partition:
-                entry = self._build_partitioned_entry(graph, timings)
-            else:
-                formula, constraint_stats = generate_constraints(
-                    graph, self._encoding, facts_as_assumptions=True
-                )
-                assumptions = sorted(fact_literals(graph, formula).values())
-                entry = _Entry(graph, formula, constraint_stats, assumptions)
-                timings.encode_ms = (time.perf_counter() - ticked) * 1000.0
-            self.stats.cnf_misses += 1
-            self._store(key, entry)
-
-        if use_partition:
-            return self._configure_partitioned(partial, entry, cache, timings)
-
-        started = time.perf_counter()
-        solved, model, solver_stats = self._solve(entry, cache)
-        ticked = time.perf_counter()
-        timings.solve_ms = (ticked - started) * 1000.0
-        if not solved:
-            raise_unsatisfiable(
-                self._registry, partial, entry.graph,
-                explain=self._explain_unsat,
-            )
-
-        named_model = {
-            str(name): value
-            for name, value in entry.formula.decode_model(model).items()
-        }
-        deployed, choices = selected_nodes(entry.graph, named_model)
-        outcome = (frozenset(deployed), tuple(sorted(choices.items())))
-        started = time.perf_counter()
-        timings.decode_ms = (started - ticked) * 1000.0
-        instances = entry.verified_specs.get(outcome)
-        if instances is not None:
-            spec = InstallSpec(instances)
-            cache.typecheck_skipped = True
-            self.stats.typecheck_skips += 1
-            timings.propagate_ms = (time.perf_counter() - started) * 1000.0
-        else:
-            spec = propagate(self._registry, entry.graph, deployed, choices)
-            ticked = time.perf_counter()
-            timings.propagate_ms = (ticked - started) * 1000.0
-            if self._check_types:
-                check_spec(self._registry, spec)
-                timings.typecheck_ms = (
-                    time.perf_counter() - ticked
-                ) * 1000.0
-            entry.verified_specs[outcome] = tuple(spec)
-            self.stats.typecheck_runs += 1
-        emit_config_trace(self._tracer, timings, cache)
-        return ConfigurationResult(
-            spec=spec,
-            graph=entry.graph,
-            formula=entry.formula,
-            model=named_model,
-            constraint_stats=entry.constraint_stats,
-            solver_stats=solver_stats,
-            deployed_ids=deployed,
-            timings=timings,
-            cache=cache,
+        entry = self._entry(partial, self._partition, cache, timings)
+        result = self._run(
+            partial, entry, entry.units, timings, cache, self.stats
         )
-
-    def _solve(self, entry: _Entry, cache: SessionCacheInfo):
-        """Solve the entry's clause database under its assumptions.
-
-        Returns ``(solved, model, solver_stats)``.  The CDCL solver's
-        stats are *cumulative* across every call that hit this entry --
-        ``solve_calls > 1`` is the proof of clause-database reuse.
-        """
-        if self._solver == "dpll":
-            # The DPLL baseline has no incremental state worth keeping:
-            # build it fresh from the cached formula (still skipping
-            # graph generation and encoding).
-            dpll = DpllSolver(entry.formula)
-            self.stats.solver_builds += 1
-            if not dpll.solve(entry.assumptions):
-                return False, {}, dpll.stats
-            return True, dpll.model(), dpll.stats
-        if entry.solver is None:
-            entry.solver = CdclSolver(entry.formula)
-            self.stats.solver_builds += 1
-        else:
-            cache.solver_reused = True
-            self.stats.solver_reuses += 1
-        if not entry.solver.solve(entry.assumptions):
-            return False, {}, entry.solver.stats
-        if entry.solver.stats.conflicts == 0:
-            # Conflict-free throughout its life: the persistent solver's
-            # model IS the canonical static-order model (see
-            # :func:`canonical_model`), at zero extra cost.
-            return True, entry.solver.model(), entry.solver.stats
-        if entry.canonical is None:
-            entry.canonical = canonical_model(
-                entry.formula, entry.solver, entry.assumptions
-            )
-        return True, entry.canonical, entry.solver.stats
-
-    # -- The partitioned pipeline ---------------------------------------
-
-    def _build_partitioned_entry(
-        self, graph: ResourceGraph, timings: PhaseTimings
-    ) -> _Entry:
-        """Split ``graph`` and encode each component (the cache miss)."""
-        ticked = time.perf_counter()
-        parts = partition_graph(graph)
-        started = time.perf_counter()
-        timings.partition_ms = (started - ticked) * 1000.0
-        aggregate = ConstraintStats(0, 0, 0, 0)
-        entry = _Entry(graph, None, aggregate, [])
-        for component in parts.components:
-            tick = time.perf_counter()
-            formula, constraint_stats = generate_constraints(
-                component.graph, self._encoding, facts_as_assumptions=True
-            )
-            assumptions = sorted(
-                fact_literals(component.graph, formula).values()
-            )
-            encode_ms = (time.perf_counter() - tick) * 1000.0
-            entry.components.append(
-                _ComponentEntry(
-                    component, formula, constraint_stats, assumptions,
-                    encode_ms,
-                )
-            )
-            _accumulate_constraint_stats(aggregate, constraint_stats)
-            timings.encode_ms += encode_ms
-        return entry
-
-    def _configure_partitioned(
-        self,
-        partial: PartialInstallSpec,
-        entry: _Entry,
-        cache: SessionCacheInfo,
-        timings: PhaseTimings,
-    ) -> ConfigurationResult:
-        """Solve/decode each cached component and merge (warm path)."""
-        info = PartitionInfo(partition_ms=timings.partition_ms)
-        aggregate_solver = SolverStats(components=len(entry.components))
-        named_model: dict[str, bool] = {}
-        deployed: set[str] = set()
-        choices: dict[tuple[str, int], str] = {}
-        outcomes: list[tuple[set[str], dict[tuple[str, int], str]]] = []
-        solve_ms: list[float] = []
-        decode_ms: list[float] = []
-
-        for comp in entry.components:
-            tick = time.perf_counter()
-            if comp.solver is None:
-                comp.solver = CdclSolver(comp.formula)
-                self.stats.solver_builds += 1
-            else:
-                cache.solver_reused = True
-                self.stats.solver_reuses += 1
-            if not comp.solver.solve(comp.assumptions):
-                timings.solve_ms += (time.perf_counter() - tick) * 1000.0
-                raise_unsatisfiable(
-                    self._registry, partial, entry.graph,
-                    explain=self._explain_unsat, partition=True,
-                )
-            if comp.solver.stats.conflicts == 0:
-                model = comp.solver.model()
-            else:
-                if comp.canonical is None:
-                    comp.canonical = canonical_model(
-                        comp.formula, comp.solver, comp.assumptions
-                    )
-                model = comp.canonical
-            solve_done = time.perf_counter()
-            named = {
-                str(name): value
-                for name, value in comp.formula.decode_model(model).items()
-            }
-            component_deployed, component_choices = selected_nodes(
-                comp.component.graph, named
-            )
-            decode_done = time.perf_counter()
-            named_model.update(named)
-            deployed |= component_deployed
-            choices.update(component_choices)
-            outcomes.append((component_deployed, component_choices))
-            solve_ms.append((solve_done - tick) * 1000.0)
-            decode_ms.append((decode_done - solve_done) * 1000.0)
-            timings.solve_ms += solve_ms[-1]
-            timings.decode_ms += decode_ms[-1]
-            _accumulate_solver_stats(aggregate_solver, comp.solver.stats)
-
-        ticked = time.perf_counter()
-        outcome = (frozenset(deployed), tuple(sorted(choices.items())))
-        instances = entry.verified_specs.get(outcome)
-        propagate_ms = [0.0] * len(entry.components)
-        typecheck_ms = [0.0] * len(entry.components)
-        if instances is not None:
-            spec = InstallSpec(instances)
-            cache.typecheck_skipped = True
-            self.stats.typecheck_skips += 1
-        else:
-            specs: list[InstallSpec] = []
-            for index, comp in enumerate(entry.components):
-                tick = time.perf_counter()
-                component_deployed, component_choices = outcomes[index]
-                component_spec = propagate(
-                    self._registry, comp.component.graph,
-                    component_deployed, component_choices,
-                )
-                propagate_done = time.perf_counter()
-                if self._check_types:
-                    check_spec(self._registry, component_spec)
-                specs.append(component_spec)
-                propagate_ms[index] = (propagate_done - tick) * 1000.0
-                typecheck_ms[index] = (
-                    time.perf_counter() - propagate_done
-                ) * 1000.0
-            spec = merge_component_specs(specs)
-            entry.verified_specs[outcome] = tuple(spec)
-            self.stats.typecheck_runs += 1
-        timings.typecheck_ms = sum(typecheck_ms)
-        timings.propagate_ms = (
-            (time.perf_counter() - ticked) * 1000.0 - timings.typecheck_ms
-        )
-
-        for index, comp in enumerate(entry.components):
-            info.components.append(
-                ComponentStats(
-                    index=comp.component.index,
-                    nodes=len(comp.component.graph),
-                    edges=len(comp.component.graph.edges()),
-                    pinned=len(comp.component.pinned),
-                    encode_ms=0.0 if cache.cnf_hit else comp.encode_ms,
-                    solve_ms=solve_ms[index],
-                    propagate_ms=propagate_ms[index],
-                    decisions=comp.solver.stats.decisions,
-                    conflicts=comp.solver.stats.conflicts,
-                    decode_ms=decode_ms[index],
-                    typecheck_ms=typecheck_ms[index],
-                )
-            )
-        emit_config_trace(self._tracer, timings, cache, partition=info)
-        return ConfigurationResult(
-            spec=spec,
-            graph=entry.graph,
-            formula=None,
-            model=named_model,
-            constraint_stats=entry.constraint_stats,
-            solver_stats=aggregate_solver,
-            deployed_ids=deployed,
-            timings=timings,
-            cache=cache,
-            partition=info,
-        )
+        emit_config_trace(self._tracer, timings, cache, result.partition)
+        return result
 
     def reconfigure_components(
         self,
@@ -552,32 +203,24 @@ class ConfigurationSession:
         result bit-identical to the matching slice of the full
         specification: generated node ids are numbered globally per
         graph, so configuring a smaller partial from scratch would
-        renumber them.  Cold calls (no cached entry for ``partial``) run
-        a full partitioned :meth:`configure` first.
+        renumber them.  The partitioned entry for ``partial`` is built
+        on first use, whichever mode the session configures in.
         """
         wanted = set(instance_ids)
         if not wanted:
             raise ConfigurationError(
                 "reconfigure_components needs at least one instance id"
             )
-        if self._solver == "dpll":
-            raise ConfigurationError(
-                "partitioned solving requires the cdcl solver (the DPLL "
-                "ablation baseline has no canonical decomposition)"
-            )
         self._revalidate()
-        key = (True, fingerprint_partial(partial))
-        entry = self._lookup(key)
-        if entry is None:
-            self.configure(partial, partition=True)
-            entry = self._lookup(key)
-            assert entry is not None  # configure() just stored it
-        affected: list[_ComponentEntry] = []
+        timings = PhaseTimings()
+        cache = SessionCacheInfo(fingerprint=fingerprint_partial(partial))
+        entry = self._entry(partial, True, cache, timings)
+        affected = []
         covered: set[str] = set()
-        for comp in entry.components:
-            hit = {iid for iid in wanted if iid in comp.component.graph}
+        for unit in entry.units:
+            hit = {iid for iid in wanted if iid in unit.graph}
             if hit:
-                affected.append(comp)
+                affected.append(unit)
                 covered |= hit
         missing = wanted - covered
         if missing:
@@ -585,38 +228,9 @@ class ConfigurationSession:
                 "reconfigure_components: instances not in the configured "
                 f"graph: {sorted(missing)}"
             )
-        specs: list[InstallSpec] = []
-        for comp in affected:
-            if comp.solver is None:
-                comp.solver = CdclSolver(comp.formula)
-                self.stats.solver_builds += 1
-            else:
-                self.stats.solver_reuses += 1
-            if not comp.solver.solve(comp.assumptions):
-                raise_unsatisfiable(
-                    self._registry, partial, entry.graph,
-                    explain=self._explain_unsat, partition=True,
-                )
-            if comp.solver.stats.conflicts == 0:
-                model = comp.solver.model()
-            else:
-                if comp.canonical is None:
-                    comp.canonical = canonical_model(
-                        comp.formula, comp.solver, comp.assumptions
-                    )
-                model = comp.canonical
-            named = {
-                str(name): value
-                for name, value in comp.formula.decode_model(model).items()
-            }
-            deployed, choices = selected_nodes(comp.component.graph, named)
-            component_spec = propagate(
-                self._registry, comp.component.graph, deployed, choices
-            )
-            if self._check_types:
-                check_spec(self._registry, component_spec)
-            specs.append(component_spec)
-        return merge_component_specs(specs)
+        return self._run(
+            partial, entry, affected, timings, stats=self.stats
+        ).spec
 
     def revalidate_instances(
         self,

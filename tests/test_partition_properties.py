@@ -1,7 +1,7 @@
 """Component-partitioned configuration equals the monolithic pipeline.
 
 The tentpole property: for every partial installation specification,
-``configure(partition=True)`` -- engine or session -- produces the same
+a ``partition=True`` engine or session produces the same
 full specification, named model, deployed set, and aggregate constraint
 sizes as the monolithic path, byte for byte; and on unsatisfiable input
 both paths raise :class:`UnsatisfiableError` with the *same* minimal
@@ -21,8 +21,8 @@ from repro.config import ConfigurationEngine, ConfigurationSession
 from repro.config.hypergraph import generate_graph
 from repro.config.partition import merge_component_specs, partition_graph
 from repro.core import PartialInstallSpec, PartialInstance, as_key
-from repro.core.errors import ConfigurationError, UnsatisfiableError
-from repro.dsl import full_to_json, partial_from_json
+from repro.core.errors import UnsatisfiableError
+from repro.dsl import full_to_json, load_resources, partial_from_json
 from repro.library import standard_registry
 from repro.library.fleet import FleetTopology, fleet_partial
 
@@ -177,24 +177,16 @@ class TestMergeDeterminism:
 
 
 class TestEngineContract:
-    def test_partition_with_dpll_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ConfigurationEngine(REGISTRY, solver="dpll", partition=True)
-        with pytest.raises(ConfigurationError):
-            ConfigurationSession(REGISTRY, solver="dpll", partition=True)
-        engine = ConfigurationEngine(REGISTRY, solver="dpll")
-        with pytest.raises(ConfigurationError):
-            engine.configure(figure2(), partition=True)
-
-    def test_per_call_override_beats_constructor_mode(self):
-        engine = ConfigurationEngine(REGISTRY, partition=True)
-        result = engine.configure(figure2(), partition=False)
-        assert result.partition is None
-        assert result.formula is not None
-        forced = ConfigurationEngine(REGISTRY).configure(
-            figure2(), partition=True
-        )
-        assert forced.partition is not None
+    def test_constructor_mode_sets_result_shape(self):
+        mono = ConfigurationEngine(REGISTRY).configure(figure2())
+        assert mono.partition is None
+        assert mono.formula is not None
+        assert mono.solver_stats.components == 1
+        part = ConfigurationEngine(
+            REGISTRY, partition=True
+        ).configure(figure2())
+        assert part.partition is not None and part.partition.count == 1
+        assert part.formula is None
 
     def test_partition_info_shape(self):
         partial = fleet_partial(FleetTopology(replicas=6, machines=3))
@@ -207,6 +199,84 @@ class TestEngineContract:
         assert sum(c.nodes for c in info.components) == len(result.graph)
         assert all(c.decisions >= 0 for c in info.components)
         assert result.timings.partition_ms >= 0.0
+
+
+#: Four services, each needing exactly one of the runtimes listed, in
+#: this order.
+CONFLICTING_SERVICES = {
+    "P": "AED",
+    "Q": "BC",
+    "R": "BDA",
+    "S": "ECD",
+}
+
+
+def conflicting_registry():
+    """The standard library plus :data:`CONFLICTING_SERVICES`.
+
+    On a machine hosting all four services, the CDCL solver's first
+    decisions run into a conflict, and the model it then finds (runtimes
+    A and C) differs from the canonical static-order one (B and E).
+    """
+    registry = standard_registry()
+    text = "".join(
+        f'resource "Runtime-{name}" 1.0 {{ inside "Server" }}\n'
+        for name in "ABCDE"
+    )
+    for service, runtimes in CONFLICTING_SERVICES.items():
+        alternatives = " | ".join(f'"Runtime-{r}" 1.0' for r in runtimes)
+        text += (
+            f'resource "Svc-{service}" 1.0 {{ inside "Server"\n'
+            f"  env {alternatives} }}\n"
+        )
+    load_resources(text, registry)
+    return registry
+
+
+def conflicting_partial(machines: int) -> PartialInstallSpec:
+    entries = []
+    for index in range(machines):
+        machine = f"m{index}"
+        entries.append(
+            PartialInstance(machine, as_key("Mac-OSX 10.6"),
+                            config={"hostname": f"host{index}"})
+        )
+        entries.extend(
+            PartialInstance(f"{service.lower()}{index}",
+                            as_key(f"Svc-{service} 1.0"), inside_id=machine)
+            for service in CONFLICTING_SERVICES
+        )
+    return PartialInstallSpec(entries)
+
+
+class TestConflictedSolve:
+    """The deterministic re-solve :func:`canonical_model` runs after a
+    conflicted CDCL solve is what keeps every mode bit-identical."""
+
+    def test_every_mode_agrees_when_the_solve_conflicts(self):
+        registry = conflicting_registry()
+        partial = conflicting_partial(machines=2)
+        engine = ConfigurationEngine(registry).configure(partial)
+        assert engine.solver_stats.conflicts > 0
+        runtimes = {
+            iid for iid in engine.deployed_ids if iid.startswith("runtime")
+        }
+        assert runtimes == {
+            "runtime_b", "runtime_e", "runtime_b_2", "runtime_e_2",
+        }
+        expected = full_to_json(engine.spec)
+        for partition in (False, True):
+            session = ConfigurationSession(registry, partition=partition)
+            cold = session.configure(partial)
+            warm = session.configure(partial)
+            assert warm.cache.solver_reused
+            fresh = ConfigurationEngine(
+                registry, partition=partition
+            ).configure(partial)
+            for result in (fresh, cold, warm):
+                assert result.solver_stats.conflicts > 0
+                assert full_to_json(result.spec) == expected
+                assert result.model == engine.model
 
 
 class TestExampleEquivalence:

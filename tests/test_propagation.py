@@ -13,7 +13,14 @@ from repro.core.errors import (
     PortTypeError,
     UnsatisfiableError,
 )
-from repro.config import ConfigurationEngine
+from repro.config import (
+    ConfigurationEngine,
+    generate_constraints,
+    generate_graph,
+    selected_nodes,
+)
+from repro.library.fleet import FleetTopology, fleet_partial
+from repro.sat import CdclSolver, DpllSolver
 
 
 @pytest.fixture
@@ -170,17 +177,35 @@ class TestUnsat:
 
 class TestEngineOptions:
     def test_dpll_backend_agrees(self, registry, openmrs_partial):
-        cdcl = ConfigurationEngine(registry, solver="cdcl").configure(
-            openmrs_partial
-        )
-        dpll = ConfigurationEngine(
-            registry, solver="dpll", verify_registry=False
-        ).configure(openmrs_partial)
-        assert set(cdcl.deployed_ids) == set(dpll.deployed_ids) or (
-            # Both must at least deploy the mandatory instances.
-            {"server", "tomcat", "openmrs", "mysql"}
-            <= set(cdcl.deployed_ids) & set(dpll.deployed_ids)
-        )
+        """DPLL, the SAT-level oracle, agrees with CDCL on the generated
+        constraints of the OpenMRS stack, a small fleet and an
+        unsatisfiable stack; both models deploy the mandatory nodes."""
+        fleet = fleet_partial(FleetTopology(replicas=2, machines=1))
+        clash = PartialInstallSpec([
+            *openmrs_partial,
+            PartialInstance("jdk_pin", as_key("JDK 1.6"), inside_id="server"),
+            PartialInstance("jre_pin", as_key("JRE 1.6"), inside_id="server"),
+        ])
+        cases = [
+            (openmrs_partial, {"server", "tomcat", "openmrs", "mysql"}),
+            (fleet, set(fleet.ids())),
+            (clash, None),
+        ]
+        for partial, mandatory in cases:
+            graph = generate_graph(registry, partial)
+            formula, _ = generate_constraints(graph)
+            for solver in (CdclSolver(formula), DpllSolver(formula)):
+                assert solver.solve() is (mandatory is not None)
+                if mandatory is None:
+                    continue
+                named = {
+                    str(name): value
+                    for name, value in formula.decode_model(
+                        solver.model()
+                    ).items()
+                }
+                deployed, _ = selected_nodes(graph, named)
+                assert mandatory <= deployed
 
     def test_stats_exposed(self, result):
         assert result.constraint_stats.variables >= 6

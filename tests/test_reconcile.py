@@ -486,11 +486,17 @@ class TestJournalDiffAndValidation:
         assert restored.states()[instance_id] == "uninstalled"
 
 
+@pytest.mark.parametrize(
+    "partition", [True, False], ids=["partitioned", "monolithic"]
+)
 class TestReconfigureComponents:
-    def test_slice_matches_full_spec(self):
+    """A monolithic session builds the partitioned entry on its first
+    ``reconfigure_components`` call, so both modes give the same slice."""
+
+    def test_slice_matches_full_spec(self, partition):
         registry = standard_registry()
         session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
+            registry, partition=partition, verify_registry=False
         )
         partial = fleet_partial(TOPOLOGY)
         full = session.configure(partial).spec
@@ -500,15 +506,15 @@ class TestReconfigureComponents:
             assert instance == full[instance.id]
         assert set(some) <= set(slice_spec.ids())
 
-    def test_cold_call_configures_first(self):
+    def test_cold_call_configures_first(self, partition):
         registry = standard_registry()
         session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
+            registry, partition=partition, verify_registry=False
         )
         partial = fleet_partial(TOPOLOGY)
         full = (
             ConfigurationSession(
-                registry, partition=True, verify_registry=False
+                registry, partition=partition, verify_registry=False
             )
             .configure(partial)
             .spec
@@ -518,25 +524,45 @@ class TestReconfigureComponents:
         )
         assert all(i == full[i.id] for i in slice_spec)
 
-    def test_unknown_instance_rejected(self):
+    def test_unknown_instance_rejected(self, partition):
         registry = standard_registry()
         session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
+            registry, partition=partition, verify_registry=False
         )
         partial = fleet_partial(TOPOLOGY)
         session.configure(partial)
         with pytest.raises(ConfigurationError, match="not in the"):
             session.reconfigure_components(partial, ["nonexistent"])
 
-    def test_empty_ids_rejected(self):
+    def test_empty_ids_rejected(self, partition):
         registry = standard_registry()
         session = ConfigurationSession(
-            registry, partition=True, verify_registry=False
+            registry, partition=partition, verify_registry=False
         )
         with pytest.raises(ConfigurationError, match="at least one"):
             session.reconfigure_components(
                 fleet_partial(TOPOLOGY), []
             )
+
+    def test_revalidate_instances_accepts_goal_and_refuses_drift(
+        self, partition
+    ):
+        import dataclasses
+
+        session = ConfigurationSession(
+            standard_registry(), partition=partition, verify_registry=False
+        )
+        partial = fleet_partial(TOPOLOGY)
+        goal = session.configure(partial).spec
+        some = [i.id for i in goal][:3]
+        assert session.revalidate_instances(partial, goal, some) >= 3
+        assert session.revalidate_instances(partial, goal, []) == 0
+        victim = goal[some[0]]
+        goal.replace_instance(dataclasses.replace(
+            victim, config={**victim.config, "rogue": True}
+        ))
+        with pytest.raises(ConfigurationError, match="goal drift"):
+            session.revalidate_instances(partial, goal, some)
 
 
 class TestCli:

@@ -6,12 +6,14 @@ from repro.config import (
     ConfigurationEngine,
     ConfigurationSession,
     canonical_form,
+    fact_literals,
     fingerprint_partial,
 )
 from repro.core import PartialInstallSpec, PartialInstance, as_key
 from repro.core.errors import UnsatisfiableError
 from repro.dsl import full_to_json, load_resources
 from repro.library import standard_registry
+from repro.sat import DpllSolver
 
 
 def figure2(hostname="demotest"):
@@ -200,14 +202,24 @@ class TestSession:
             session.configure(conflict())  # warm unsat still unsat
 
     def test_dpll_mode_matches_engine(self):
+        """Cold and warm session answers match the engine, and DPLL, the
+        SAT-level oracle, accepts the session's model under the pinned facts."""
         registry = standard_registry()
-        expected = ConfigurationEngine(registry, solver="dpll").configure(
-            figure2()
-        )
-        session = ConfigurationSession(registry, solver="dpll")
+        expected = ConfigurationEngine(registry).configure(figure2())
+        session = ConfigurationSession(registry)
         for _ in range(2):
             got = session.configure(figure2())
             assert full_to_json(got.spec) == full_to_json(expected.spec)
+            formula = got.formula
+            pinned = fact_literals(got.graph, formula)
+            model = [
+                var if got.model[str(name)] else -var
+                for var in range(1, formula.num_vars + 1)
+                if (name := formula.name_of(var)) is not None
+            ]
+            assert DpllSolver(formula).solve(
+                sorted(pinned.values()) + model
+            )
 
     def test_max_entries_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -215,38 +227,43 @@ class TestSession:
 
 
 class TestPartitionCacheKeys:
-    """Partitioned and monolithic runs of the *same* partial spec cache
-    under distinct keys: the encodings differ (per-component CNFs vs one
-    global formula), so sharing an entry would replay the wrong one."""
+    """Partitioned and monolithic entries of the *same* partial spec
+    cache under distinct keys: their units differ (per-component CNFs vs
+    one global formula), so sharing an entry would replay the wrong one.
+    A monolithic session holds both once ``reconfigure_components``
+    (which always solves per component) has run."""
 
     def test_mode_flip_creates_two_entries(self):
         session = ConfigurationSession(standard_registry())
         mono = session.configure(figure2())
-        part = session.configure(figure2(), partition=True)
+        session.reconfigure_components(figure2(), ["openmrs"])
         assert len(session) == 2
-        assert not part.cache.graph_hit
-        assert not part.cache.cnf_hit
+        assert session.stats.graph_misses == 2
+        part = ConfigurationSession(
+            standard_registry(), partition=True
+        ).configure(figure2())
         assert full_to_json(part.spec) == full_to_json(mono.spec)
         assert mono.partition is None and mono.formula is not None
         assert part.partition is not None and part.formula is None
 
     def test_each_mode_warms_its_own_entry(self):
-        session = ConfigurationSession(standard_registry())
-        for _ in range(2):
+        warm = []
+        for partition in (False, True):
+            session = ConfigurationSession(
+                standard_registry(), partition=partition
+            )
             session.configure(figure2())
-            session.configure(figure2(), partition=True)
-        assert len(session) == 2
-        warm_mono = session.configure(figure2())
-        warm_part = session.configure(figure2(), partition=True)
-        assert warm_mono.cache.cnf_hit and warm_mono.cache.solver_reused
-        assert warm_part.cache.cnf_hit and warm_part.cache.solver_reused
-        assert full_to_json(warm_mono.spec) == full_to_json(warm_part.spec)
+            warm.append(session.configure(figure2()))
+            assert len(session) == 1
+        for result in warm:
+            assert result.cache.cnf_hit and result.cache.solver_reused
+        assert full_to_json(warm[0].spec) == full_to_json(warm[1].spec)
 
     def test_mode_flip_does_not_evict_the_other_mode(self):
         session = ConfigurationSession(standard_registry(), max_entries=2)
         session.configure(figure2())
-        session.configure(figure2(), partition=True)
+        session.reconfigure_components(figure2(), ["openmrs"])
         assert session.configure(figure2()).cache.cnf_hit
-        assert session.configure(
-            figure2(), partition=True
-        ).cache.cnf_hit
+        assert session.stats.evictions == 0
+        session.reconfigure_components(figure2(), ["openmrs"])
+        assert session.stats.graph_hits == 2
